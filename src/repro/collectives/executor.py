@@ -3,8 +3,10 @@
 Instead of pricing a collective as one closed-form lump sum, every member
 rank runs a *program* — the per-step send/recv schedule of the algorithm —
 over the same :mod:`repro.collectives.p2p` path pipeline parallelism uses.
-Each step chunk acquires the sender's per-node NIC transmit resource and
-re-resolves its transport through the health overlay, so the paper's
+Each NIC-crossing step chunk acquires the sender's per-node NIC transmit
+resource and re-resolves its transport through the health overlay;
+intra-node ring hops, which touch neither, are computed exactly within a
+fused ring pass (:class:`_RingPass`) instead of as events.  So the paper's
 headline phenomena fall out of the event kernel instead of being asserted:
 
 - **slowest-link dominance** (Holmes §2, Table 1): a node-contiguous ring
@@ -31,13 +33,16 @@ lets COMPUTE shadow it, which is how hidden communication is *measured*.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence
+from itertools import count
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.collectives.p2p import ChannelRegistry, recv, send
+from repro.collectives.p2p import ChannelRegistry, Message, recv, send
 from repro.errors import CommunicatorError
 from repro.network.contention import FidelityPolicy
 from repro.network.fabric import Fabric
+from repro.simcore.event import SimEvent
 from repro.simcore.process import Wait
 from repro.simcore.resource import Barrier
 from repro.simcore.trace import TraceRecorder
@@ -86,6 +91,280 @@ class OpWindow:
         return len(self.ends) == self.group_size
 
 
+#: Kinds of the step events a :class:`_RingPass` replays: a member's hop
+#: (step start or completion) on its own arrival, any other hop, and the
+#: end of an intra-node send.
+_JOIN, _HOP, _SENT = range(3)
+
+
+class _RingPass:
+    """One pass of a ring schedule (``d - 1`` steps), shared by its members.
+
+    Member ``i`` sends its step-``s`` chunk to member ``i + 1``, then waits
+    for member ``i - 1``'s step-``s`` chunk.  With ``S`` a step's start,
+    ``E`` the end of its send and ``A`` the chunk's arrival at the
+    successor, the step-by-step schedule obeys::
+
+        S(i, 0) = arrival      E(i, s) = S(i, s) + step_time(i)
+        R(i, s) = max(E(i, s), A(i - 1, s))      S(i, s + 1) = R(i, s)
+
+    An intra-node hop touches no NIC, uplink or health state, so its ``E``
+    (which is also its ``A``) is computed with exactly that float
+    arithmetic instead of events, its edge priced once per pass.  A
+    NIC-crossing step stays a real :func:`~repro.collectives.p2p.send`
+    process started at ``S`` — NIC FIFO contention, fault re-resolution,
+    rebuild charges and uplinks are untouched — whose ``E`` is when the
+    process ends and whose ``A`` is when the send delivers the chunk (to
+    the pass itself, not through a one-message channel).
+    Actions the event kernel must see (a NIC send starting, a member
+    completing) happen at their computed times: inside the current event
+    when that is now, else from an event scheduled at that exact time.
+    Each member waits on one event, fired at its completion ``R(i, d - 2)``.
+
+    :meth:`_run` replays the intra-node steps in the order the per-step
+    events had in the kernel, so members finishing at the same instant
+    leave in that order too — it decides who reaches a shared NIC first
+    (as the members of the hierarchical all-reduce's intra-node phases do).
+
+    Trace spans of arithmetic steps are held per member until it completes
+    (or :meth:`CollectiveExecutor.settle` flushes the ones a stopped run
+    reached), so a traced run records the same spans as a step-by-step one.
+    """
+
+    __slots__ = (
+        "executor", "key", "ring", "index", "chunk", "messages", "tag",
+        "phase", "step_time", "counters", "step", "sent", "inbox",
+        "done", "spans", "remaining", "waiting", "order",
+    )
+
+    def __init__(
+        self,
+        executor: "CollectiveExecutor",
+        key: tuple,
+        ring: Sequence[int],
+        chunk: float,
+        messages: int,
+        tag: str,
+        phase: str,
+    ) -> None:
+        d = len(ring)
+        self.executor = executor
+        self.key = key
+        self.ring = ring
+        self.index = {r: i for i, r in enumerate(ring)}
+        self.chunk = chunk
+        self.messages = messages
+        self.tag = tag
+        self.phase = phase
+        #: per member: intra-node step time to its successor (None: NIC)
+        self.step_time: List[Optional[float]] = [None] * d
+        self.counters: List[Optional[tuple]] = [None] * d
+        #: per member: current step and the end of its send in that step
+        self.step = [0] * d
+        self.sent: List[Optional[float]] = [None] * d
+        #: per member: arrival time of the predecessor's chunk, per step
+        self.inbox: List[Dict[int, float]] = [{} for _ in range(d)]
+        #: per member: the step whose chunk it waits for, its send done
+        self.waiting: List[Optional[int]] = [None] * d
+        #: scheduling order of the replayed events (see :meth:`_run`)
+        self.order = count()
+        self.done: List[Optional[SimEvent]] = [None] * d
+        self.spans: Optional[List[list]] = (
+            [[] for _ in range(d)] if executor.trace is not None else None
+        )
+        self.remaining = d
+
+    def join(self, rank: int) -> SimEvent:
+        """Member ``rank`` arrives now; returns its completion event."""
+        fabric = self.executor.fabric
+        i = self.index[rank]
+        nxt = self.ring[(i + 1) % len(self.ring)]
+        if fabric.transport(rank, nxt).kind.is_intra_node:
+            self.step_time[i] = fabric.collective_step_time(
+                rank, nxt, self.chunk, self.messages
+            )
+            self.counters[i] = fabric.collective_step_counters(rank, nxt)
+        done = self.done[i] = SimEvent(fabric.engine, "ring-pass")
+        self._run(fabric.engine.now, _JOIN, i)
+        return done
+
+    def _run(self, when: float, kind: int, first: int) -> None:
+        """Play the pass forward from member ``first``'s event ``kind`` at
+        ``when``, as far as known times allow.
+
+        Replays the step-by-step events in their kernel order — by time,
+        then in the order they were scheduled — on a private heap: member
+        hops (a step starting, or the member completing) and send ends.
+        A send end hands the chunk to a successor already waiting for it
+        before it lets its own member go on, as ``put`` then ``recv`` did.
+        """
+        executor = self.executor
+        now = executor.fabric.engine.now
+        hooks = executor.hooks
+        ring = self.ring
+        last = len(ring) - 1
+        step, sent, inbox, waiting = self.step, self.sent, self.inbox, self.waiting
+        step_time, counters, spans = self.step_time, self.counters, self.spans
+        chunk = self.chunk
+        order = self.order
+        heap = [(when, next(order), kind, first)]
+        while heap:
+            when, _, kind, i = heapq.heappop(heap)
+            s = step[i]
+            if kind != _SENT:
+                if s == last:
+                    self._finish(i, when, now)
+                    continue
+                if hooks is not None:
+                    hooks.on_collective_step(self.tag, ring[i], chunk)
+                t = step_time[i]
+                if t is None:
+                    self._send(i, s, when, now, kind == _JOIN)
+                    continue
+                end = sent[i] = when + t
+                if s and counters[i] is not None:
+                    counters[i][0].inc(chunk)
+                    counters[i][1].inc(t)
+                if spans is not None:
+                    spans[i].append((True, s, when, end))
+                heapq.heappush(heap, (end, next(order), _SENT, i))
+                continue
+            j = i + 1 if i < last else 0
+            if waiting[j] == s:
+                self._received(j, s, when, heap)
+            else:
+                inbox[j][s] = when
+            arrival = inbox[i].pop(s, None)
+            if arrival is None:
+                waiting[i] = s
+            else:
+                self._received(i, s, arrival, heap)
+
+    def _received(self, i: int, s: int, arrival: float, heap: list) -> None:
+        """Member ``i``, its step-``s`` send done, has the predecessor's
+        step-``s`` chunk (arrived at ``arrival``): it goes on when both are
+        in, recording the wait."""
+        end = self.sent[i]
+        resume = arrival if arrival > end else end
+        if self.spans is not None:
+            self.spans[i].append((False, s, end, resume))
+        self.waiting[i] = None
+        self.step[i] = s + 1
+        heapq.heappush(heap, (resume, next(self.order), _HOP, i))
+
+    def _send(self, i: int, s: int, begin: float, now: float, inline: bool) -> None:
+        """Start member ``i``'s NIC-crossing step ``s`` at time ``begin``."""
+        if begin > now:
+            self.executor.fabric.engine.call_at(
+                begin, lambda: self._start_send(i, s, False)
+            )
+        else:
+            self._start_send(i, s, inline)
+
+    def _start_send(self, i: int, s: int, inline: bool) -> None:
+        engine = self.executor.fabric.engine
+        # Started from the joining member's own event, the send runs inline
+        # as the member's program did; otherwise the event that made its
+        # start time known hands it to a fresh event at that time.
+        if inline:
+            engine.start(self._nic_step(i, s), "ring-step")
+        else:
+            engine.process(self._nic_step(i, s), "ring-step")
+
+    def _nic_step(self, i: int, s: int) -> Generator:
+        executor = self.executor
+        ring = self.ring
+        yield from send(
+            executor.fabric, executor.channels, ring[i],
+            ring[i + 1 if i < len(ring) - 1 else 0],
+            f"{self.tag}:{self.phase}{s}", self.chunk, executor.trace,
+            payload=s, collective=True, messages=self.messages,
+            deliver=self._arrived,
+        )
+        now = self.sent[i] = executor.fabric.engine.now
+        arrival = self.inbox[i].pop(s, None)
+        if arrival is None:
+            self.waiting[i] = s
+        else:
+            self._go_on(i, s, arrival, now)
+
+    def _arrived(self, message: Message) -> None:
+        """A NIC-crossing step's chunk reached its member, now."""
+        j, s = self.index[message.dst], message.payload
+        now = self.executor.fabric.engine.now
+        if self.waiting[j] == s:
+            self._go_on(j, s, now, now)
+        else:
+            self.inbox[j][s] = now
+
+    def _go_on(self, i: int, s: int, arrival: float, now: float) -> None:
+        """Member ``i`` has both its step-``s`` send done and the chunk
+        (arrived at ``arrival``), learnt in an event at ``now``."""
+        end = self.sent[i]
+        resume = arrival if arrival > end else end
+        if self.spans is not None:
+            self.spans[i].append((False, s, end, resume))
+        self.waiting[i] = None
+        s = self.step[i] = s + 1
+        if resume == now and self.step_time[i] is None:
+            # a NIC-crossing member going on now: no intra-node step to
+            # replay, so act as :meth:`_run` would, without its heap
+            if s == len(self.ring) - 1:
+                self._complete(i)
+                return
+            hooks = self.executor.hooks
+            if hooks is not None:
+                hooks.on_collective_step(self.tag, self.ring[i], self.chunk)
+            self._start_send(i, s, False)
+        else:
+            self._run(resume, _HOP, i)
+
+    def _finish(self, i: int, end: float, now: float) -> None:
+        if end > now:
+            self.executor.fabric.engine.call_at(end, lambda: self._complete(i))
+        else:
+            self._complete(i)
+
+    def _complete(self, i: int) -> None:
+        if self.spans is not None:
+            self._record(i, self.spans[i])
+            self.spans[i] = []
+        self.remaining -= 1
+        if self.remaining == 0:
+            del self.executor._passes[self.key]
+        done = self.done[i]
+        assert done is not None
+        done.succeed()
+
+    def flush_spans(self, now: float) -> None:
+        """Record every held span that ended by ``now``."""
+        if self.spans is None:
+            return
+        for i, held in enumerate(self.spans):
+            self._record(i, [span for span in held if span[3] <= now])
+            self.spans[i] = [span for span in held if span[3] > now]
+
+    def _record(self, i: int, held: list) -> None:
+        trace = self.executor.trace
+        assert trace is not None
+        ring = self.ring
+        rank = ring[i]
+        nxt = ring[(i + 1) % len(ring)]
+        prev = ring[i - 1]
+        prefix = f"{self.tag}:{self.phase}"
+        for is_send, s, begin, end in held:
+            if is_send:
+                trace.record(
+                    rank, "p2p", f"send:{prefix}{s}", begin, end, self.chunk,
+                    dst=nxt, coll=1,
+                )
+            else:
+                trace.record(
+                    rank, "idle", f"recv-wait:{prefix}{s}", begin, end,
+                    self.chunk, src=prev,
+                )
+
+
 class CollectiveExecutor:
     """Builds and runs per-rank collective programs on one event fabric.
 
@@ -116,6 +395,11 @@ class CollectiveExecutor:
         #: concurrent aggregate ops over one ring the way the NIC FIFO
         #: serializes their executed steps
         self._ring_free: Dict[tuple, float] = {}
+        #: ring order and per-member node ids, per member set
+        self._rings: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self._nodes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        #: in-flight ring passes by (op tag, phase, first ring member)
+        self._passes: Dict[tuple, "_RingPass"] = {}
 
     # ------------------------------------------------------------------ #
     # ring construction
@@ -125,8 +409,28 @@ class CollectiveExecutor:
         """Node-contiguous deterministic ring (NCCL-style): members of one
         node are adjacent, so each node crosses its NIC exactly once per
         direction and the slowest inter-node edge bounds every step."""
-        topo = self.fabric.topology
-        return sorted(set(ranks), key=lambda r: (topo.device(r).node_global, r))
+        return list(self._ring(ranks))
+
+    def _ring(self, ranks: Sequence[int]) -> Tuple[int, ...]:
+        """Cached :meth:`ring_order` of one member set."""
+        key = ranks if isinstance(ranks, tuple) else tuple(ranks)
+        ring = self._rings.get(key)
+        if ring is None:
+            topo = self.fabric.topology
+            ring = tuple(
+                sorted(set(key), key=lambda r: (topo.device(r).node_global, r))
+            )
+            self._rings[key] = ring
+        return ring
+
+    def _node_ids(self, ring: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Cached node of every member of ``ring``, in ring order."""
+        nodes = self._nodes.get(ring)
+        if nodes is None:
+            topo = self.fabric.topology
+            nodes = tuple(topo.device(r).node_global for r in ring)
+            self._nodes[ring] = nodes
+        return nodes
 
     # ------------------------------------------------------------------ #
     # per-rank programs
@@ -150,7 +454,7 @@ class CollectiveExecutor:
         """
         if op not in EXECUTABLE_OPS:
             raise CommunicatorError(f"unknown executable collective: {op!r}")
-        ring = self.ring_order(ranks)
+        ring = self._ring(ranks)
         if rank not in ring:
             raise CommunicatorError(f"rank {rank} not in group {ring}")
         if len(ring) <= 1 or nbytes <= 0:
@@ -163,10 +467,8 @@ class CollectiveExecutor:
         window.starts[rank] = engine.now
         start = engine.now
         if self.hooks is not None:
-            topo = self.fabric.topology
             self.hooks.begin_collective(
-                tag, op, rank, ring, nbytes,
-                [topo.device(r).node_global for r in ring],
+                tag, op, rank, ring, nbytes, self._node_ids(ring)
             )
         d = len(ring)
         if self.fidelity is not None and self.fidelity.collective_analytic(ring):
@@ -202,7 +504,7 @@ class CollectiveExecutor:
             )
 
     def _aggregate(
-        self, op: str, ring: List[int], rank: int, nbytes: float, tag: str
+        self, op: str, ring: Tuple[int, ...], rank: int, nbytes: float, tag: str
     ) -> Generator:
         """Analytic fast path: the whole collective as one aggregate event.
 
@@ -223,11 +525,11 @@ class CollectiveExecutor:
         if self.hooks is not None:
             from repro.validate.invariants import expected_member_step_bytes
 
-            topo = self.fabric.topology
-            node_ids = tuple(topo.device(r).node_global for r in ring)
             self.hooks.on_collective_step(
                 tag, rank,
-                expected_member_step_bytes(op, tuple(ring), rank, nbytes, node_ids),
+                expected_member_step_bytes(
+                    op, ring, rank, nbytes, self._node_ids(ring)
+                ),
             )
         barrier = self._aggregates.get(tag)
         if barrier is None:
@@ -263,7 +565,7 @@ class CollectiveExecutor:
 
     def _ring_phase(
         self,
-        ring: List[int],
+        ring: Sequence[int],
         rank: int,
         chunk: float,
         messages: int,
@@ -274,23 +576,24 @@ class CollectiveExecutor:
         predecessor) steps of one ``chunk`` each.  Data dependency per
         step: a rank cannot begin step ``s + 1`` before receiving its
         predecessor's step-``s`` chunk, which is what propagates a slow
-        edge's pace around the whole ring."""
-        d = len(ring)
-        i = ring.index(rank)
-        nxt = ring[(i + 1) % d]
-        prev = ring[(i - 1) % d]
-        for s in range(d - 1):
-            step_tag = f"{tag}:{phase}{s}"
-            if self.hooks is not None:
-                self.hooks.on_collective_step(tag, rank, chunk)
-            yield from send(
-                self.fabric, self.channels, rank, nxt, step_tag, chunk,
-                self.trace, collective=True, messages=messages,
-            )
-            yield from recv(self.channels, prev, rank, step_tag, trace=self.trace)
+        edge's pace around the whole ring.  The members share one
+        :class:`_RingPass`; each waits once, for its own completion."""
+        key = (tag, phase, ring[0])
+        ring_pass = self._passes.get(key)
+        if ring_pass is None:
+            ring_pass = _RingPass(self, key, ring, chunk, messages, tag, phase)
+            self._passes[key] = ring_pass
+        yield Wait(ring_pass.join(rank))
+
+    def settle(self) -> None:
+        """Record the trace spans of ring steps that ended by now but whose
+        members never completed — a run stopped early (crash abort) keeps
+        exactly the spans a step-by-step execution would have recorded."""
+        for ring_pass in self._passes.values():
+            ring_pass.flush_spans(self.fabric.engine.now)
 
     def _tree_broadcast(
-        self, ring: List[int], rank: int, nbytes: float, tag: str
+        self, ring: Tuple[int, ...], rank: int, nbytes: float, tag: str
     ) -> Generator:
         """Binomial-tree broadcast from the ring's first member: a rank at
         relative position ``rel`` joins in round ``floor(log2(rel))`` and
@@ -318,17 +621,18 @@ class CollectiveExecutor:
                 )
 
     def _hierarchical(
-        self, ring: List[int], rank: int, nbytes: float, tag: str
+        self, ring: Tuple[int, ...], rank: int, nbytes: float, tag: str
     ) -> Generator:
         """Two-level all-reduce: intra-node reduce-scatter, inter-node
         all-reduce of each shard slot (G concurrent rings sharing each
         node's NIC), intra-node all-gather."""
-        topo = self.fabric.topology
         by_node: Dict[int, List[int]] = {}
-        for r in ring:
-            by_node.setdefault(topo.device(r).node_global, []).append(r)
+        node_of: Dict[int, int] = {}
+        for r, node in zip(ring, self._node_ids(ring)):
+            by_node.setdefault(node, []).append(r)
+            node_of[r] = node
         nodes = sorted(by_node)
-        locals_ = by_node[topo.device(rank).node_global]
+        locals_ = by_node[node_of[rank]]
         G = len(locals_)
         if any(len(by_node[n]) != G for n in nodes):
             raise CommunicatorError("hierarchical schedule needs equal ranks per node")

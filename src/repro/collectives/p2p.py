@@ -21,7 +21,7 @@ from) a :class:`~repro.simcore.process.Process`; the matching receiver calls
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.network.fabric import Fabric
@@ -80,11 +80,12 @@ def _deliver(
     latency: float,
     payload: Any = None,
     trace: Optional[TraceRecorder] = None,
+    deliver: Optional[Callable[[Message], None]] = None,
 ) -> Generator:
     """Network-side continuation of a send: store-and-forward through the
     inter-cluster uplink (if any), then the propagation latency, then
-    delivery into the destination channel.  Runs asynchronously — the
-    *sender* only blocks until bytes leave its NIC."""
+    delivery into the destination channel (or to ``deliver``).  Runs
+    asynchronously — the *sender* only blocks until bytes leave its NIC."""
     uplink = fabric.uplink_resource(src, dst)
     if uplink is not None:
         yield Wait(uplink.acquire())
@@ -98,9 +99,11 @@ def _deliver(
                 dst_cluster=fabric.topology.device(dst).cluster_id,
             )
     yield Timeout(latency)
-    channels.channel(src, dst, tag).store.put(
-        Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
-    )
+    message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
+    if deliver is None:
+        channels.channel(src, dst, tag).store.put(message)
+    else:
+        deliver(message)
 
 
 def send(
@@ -115,6 +118,7 @@ def send(
     collective: bool = False,
     messages: int = 1,
     analytic: bool = False,
+    deliver: Optional[Callable[[Message], None]] = None,
 ) -> Generator:
     """Process body: transmit ``nbytes`` from ``src`` to ``dst``.
 
@@ -139,6 +143,11 @@ def send(
     construction, so the transfer's timing is identical while the event
     count shrinks.  A pending rebuild charge (fault aftermath) always drops
     back to the executed path.
+
+    ``deliver``, when given, is called with the arriving :class:`Message`
+    instead of putting it into the ``(src, dst, tag)`` channel: a receiver
+    that tracks arrivals itself (an executed ring pass) skips building a
+    one-message channel per transfer.
     """
     engine = fabric.engine
     if engine is None:
@@ -154,9 +163,11 @@ def send(
         else:
             duration = fabric.p2p_time(src, dst, nbytes)
         yield Timeout(duration)
-        channels.channel(src, dst, tag).store.put(
-            Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
-        )
+        message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
+        if deliver is None:
+            channels.channel(src, dst, tag).store.put(message)
+        else:
+            deliver(message)
     else:
         # A NIC fault may have re-resolved this pair to a different
         # transport family since it last communicated; the first transfer
@@ -202,6 +213,7 @@ def send(
             _deliver(
                 fabric, channels, src, dst, tag, nbytes,
                 transport.latency, payload, trace if tracing else None,
+                deliver,
             ),
             name=f"deliver[{src}->{dst}:{tag}]",
         )

@@ -749,6 +749,7 @@ class TrainingSimulation:
                 fabric.cost_model.config.retry_policy.crash_detection
             )
         engine.run(until=abort_at)
+        executor.settle()
         aborted = any(proc.alive for proc in procs)
         if aborted and abort_at is None:
             stuck = next(proc for proc in procs if proc.alive)

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Code-version component of every cache key.  Convention:
 #: ``<paper-table-era>.<sequence>``; bump the sequence for any
 #: behaviour-affecting change (see module docstring).
-CODE_VERSION_SALT = "holmes-sim.5"
+CODE_VERSION_SALT = "holmes-sim.6"
 
 
 def canonical_json(scenario: "Scenario") -> str:

@@ -605,11 +605,24 @@ def _pool_map(fn, queue, jobs, policy, stats, record_success, record_failure,
     def respawn(worker: _Worker) -> _Worker:
         stats["worker_respawns"] += 1
         _inc("exec_worker_respawns_total")
+        if flight is not None:
+            # Before the replacement starts, so that its own
+            # ``worker-spawn`` (which carries its pid) follows this event.
+            flight.emit("worker-respawn", replaces=worker.proc.pid)
         replacement = _Worker(ctx)
         workers[workers.index(worker)] = replacement
-        if flight is not None:
-            flight.emit("worker-respawn", worker=replacement.proc.pid)
         return replacement
+
+    def dispatch(worker: _Worker, task: _Task) -> None:
+        task.dispatched = time.monotonic()
+        if flight is not None:
+            flight.emit(
+                "scenario-dispatched",
+                digest=task.key,
+                index=task.index,
+                attempt=task.attempts + 1,
+                worker=worker.proc.pid,
+            )
 
     def requeue_or_fail(task: _Task, kind: str, message: str) -> None:
         task.attempts += 1
@@ -644,6 +657,10 @@ def _pool_map(fn, queue, jobs, policy, stats, record_success, record_failure,
                 if worker.task is not None or not queue:
                     continue
                 task = queue.popleft()
+                # Narrate the dispatch *before* the task goes down the pipe:
+                # a fast worker's ``scenario-started`` must never land in
+                # the shared log ahead of it.
+                dispatch(worker, task)
                 try:
                     worker.conn.send((task.index, fn, task.item, task.key))
                 except (BrokenPipeError, OSError):
@@ -652,17 +669,9 @@ def _pool_map(fn, queue, jobs, policy, stats, record_success, record_failure,
                     stats["worker_crashes"] += 1
                     _inc("exec_worker_crashes_total")
                     worker = respawn(worker)
+                    dispatch(worker, task)
                     worker.conn.send((task.index, fn, task.item, task.key))
                 worker.task = task
-                task.dispatched = time.monotonic()
-                if flight is not None:
-                    flight.emit(
-                        "scenario-dispatched",
-                        digest=task.key,
-                        index=task.index,
-                        attempt=task.attempts + 1,
-                        worker=worker.proc.pid,
-                    )
                 worker.deadline = (
                     now + policy.timeout if policy.timeout is not None else math.inf
                 )

@@ -460,6 +460,17 @@ class Fabric:
             m_seconds.inc(duration)
         return duration
 
+    def collective_step_counters(self, src: int, dst: int) -> Optional[tuple]:
+        """The (bytes, seconds) counters one executed collective step from
+        ``src`` to ``dst`` publishes into, or ``None`` without a registry.
+        Lets a caller that priced an edge once with
+        :meth:`collective_step_time` still count every further step."""
+        if self.metrics is None:
+            return None
+        return self._comm_counters(
+            _KIND_STR[self.transport(src, dst).kind], "collective"
+        )
+
     def group_rebuild_time(self, ranks: Sequence[int]) -> float:
         """Communicator rebuild charge for a group whose transport family
         changed since its last sync (executed-collective counterpart of the

@@ -66,9 +66,18 @@ LATENCY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.5, 2.0, 10.0, 60.0)
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 429: "Too Many Requests",
+    405: "Method Not Allowed", 413: "Content Too Large",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
+
+#: Fixed request limits of the HTTP reader: the request line and headers
+#: together (431 beyond), the number of header lines (431), and the body
+#: (413).  The largest legitimate body, a ``/v1/sweep`` over thousands of
+#: canonical scenarios, stays well under the body cap.
+MAX_HEAD_BYTES = 16 * 1024
+MAX_HEADERS = 100
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass
@@ -530,12 +539,19 @@ class SimulationService:
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, Dict[str, str], Dict[str, str], bytes]:
+    # The stream's buffer limit is MAX_HEAD_BYTES (see start_server), so a
+    # head without its blank line within that many bytes overruns it.
     try:
         head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=30)
-    except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-            asyncio.TimeoutError) as exc:
+    except asyncio.LimitOverrunError:
+        raise _HttpError(431, f"request head exceeds {MAX_HEAD_BYTES} bytes")
+    except (asyncio.IncompleteReadError, asyncio.TimeoutError) as exc:
         raise _HttpError(400, f"malformed request head: {type(exc).__name__}")
-    lines = head.decode("latin-1").split("\r\n")
+    if len(head) > MAX_HEAD_BYTES:
+        raise _HttpError(431, f"request head exceeds {MAX_HEAD_BYTES} bytes")
+    lines = head.decode("latin-1").split("\r\n")[:-2]
+    if len(lines) - 1 > MAX_HEADERS:
+        raise _HttpError(431, f"more than {MAX_HEADERS} header lines")
     parts = lines[0].split(" ")
     if len(parts) != 3:
         raise _HttpError(400, f"malformed request line: {lines[0]!r}")
@@ -545,10 +561,14 @@ async def _read_request(
         if ":" in line:
             key, value = line.split(":", 1)
             headers[key.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
-        raise _HttpError(400, "bad Content-Length")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _HttpError(400, f"bad Content-Length: {raw_length!r}")
+    length = int(raw_length)
+    if length > MAX_BODY_BYTES:
+        raise _HttpError(
+            413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+        )
     body = b""
     if length:
         try:
@@ -588,7 +608,8 @@ async def serve_async(service: SimulationService,
                       stop: Optional[asyncio.Event] = None) -> None:
     """Bind, serve until ``stop`` (or SIGTERM/SIGINT), drain, exit."""
     config = service.config
-    server = await asyncio.start_server(service.handle, config.host, config.port)
+    server = await asyncio.start_server(
+        service.handle, config.host, config.port, limit=MAX_HEAD_BYTES)
     port = server.sockets[0].getsockname()[1]
     if config.port_file:
         Path(config.port_file).write_text(f"{port}\n")
@@ -667,7 +688,7 @@ def start_in_process(config: Optional[ServeConfig] = None) -> ServiceHandle:
 
         async def _boot() -> None:
             server = await asyncio.start_server(
-                service.handle, config.host, config.port)
+                service.handle, config.host, config.port, limit=MAX_HEAD_BYTES)
             box["server"] = server
             box["port"] = server.sockets[0].getsockname()[1]
             ready.set()

@@ -61,6 +61,19 @@ class SimEngine:
         self._schedule_at(self._now, proc._step)
         return proc
 
+    def start(self, generator: Generator, name: str = "proc") -> Process:
+        """Spawn ``generator`` and run it to its first yield *inside the
+        current event* — as if the caller had ``yield from``-ed it — rather
+        than from a fresh event at the current time like :meth:`process`."""
+        proc = Process(self, generator, name=name)
+        proc._step()
+        return proc
+
+    def call_at(self, when: float, thunk: Callable[[], None]) -> None:
+        """Run ``thunk`` at absolute virtual time ``when`` (>= now).  Unlike
+        a ``Timeout`` relative to now, the event time is ``when`` exactly."""
+        self._schedule_at(when, thunk)
+
     def _schedule_at(self, when: float, thunk: Callable[[], None]) -> None:
         if when < self._now - 1e-15:
             raise SimulationError(

@@ -37,6 +37,32 @@ class TestSendRecv:
         assert msg.nbytes == 1 << 20
         assert arrival > 0.0
 
+    @pytest.mark.parametrize("dst", [1, 8], ids=["intra-node", "cross-cluster"])
+    def test_deliver_callback_replaces_the_channel(self, setup, dst):
+        """With ``deliver`` the message arrives at the same instant a
+        channel receiver would see it, and no channel is built."""
+        engine, fabric, channels = setup
+
+        def receiver():
+            yield from recv(channels, 0, dst, "act:0")
+            return engine.now
+
+        engine.process(send(fabric, channels, 0, dst, "act:0", 1 << 20))
+        proc = engine.process(receiver())
+        engine.run()
+
+        engine2 = SimEngine()
+        fabric2 = Fabric(fabric.topology, engine=engine2)
+        channels2 = ChannelRegistry(engine2)
+        arrivals = []
+        engine2.process(send(
+            fabric2, channels2, 0, dst, "act:0", 1 << 20, payload=7,
+            deliver=lambda msg: arrivals.append((msg.payload, engine2.now)),
+        ))
+        engine2.run()
+        assert arrivals == [(7, proc.done.value)]
+        assert not channels2._channels
+
     def test_intra_node_faster_than_cross_cluster(self, setup):
         engine, fabric, channels = setup
 

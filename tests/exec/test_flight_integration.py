@@ -12,6 +12,7 @@ from repro.api import Scenario, sweep
 from repro.exec import SweepOutcome, pmap, run_sweep
 from repro.exec.journal import SweepJournal, sweep_digest
 from repro.obs.flight import (
+    FlightLog,
     events_path_for,
     read_events,
     scenario_story,
@@ -98,6 +99,30 @@ def test_event_log_narrates_a_parallel_sweep(tmp_path):
             "scenario-finished",
         ]
         assert story[-1]["seconds"] > 0
+
+
+def test_dispatch_is_logged_before_a_fast_worker_starts(tmp_path, monkeypatch):
+    """Regression: the supervisor used to write ``scenario-dispatched``
+    after sending the task, so a fast worker's ``scenario-started`` could
+    land first.  Holding back the supervisor's dispatch write makes every
+    worker the fast one; the story must still read in causal order."""
+    emit = FlightLog.emit
+
+    def slow_dispatch(self, event, **fields):
+        if event == "scenario-dispatched":
+            time.sleep(0.3)
+        emit(self, event, **fields)
+
+    monkeypatch.setattr(FlightLog, "emit", slow_dispatch)
+    path = tmp_path / "ev.jsonl"
+    sweep(SCENARIOS[:3], jobs=2, events=path)
+    events = read_events(path)
+    for scenario in SCENARIOS[:3]:
+        kinds = [e["event"] for e in scenario_story(events, scenario.digest())]
+        assert kinds == [
+            "cache-miss", "scenario-dispatched", "scenario-started",
+            "scenario-finished",
+        ]
 
 
 def test_event_log_records_cache_hits(tmp_path):

@@ -56,6 +56,33 @@ class TestDriftGate:
         assert check_drift(bench, reference, tolerance=0.02) == 1
         assert "serve" in capsys.readouterr().err
 
+    def test_fidelity_point_records_the_analytic_tier(self, bench):
+        fidelity = bench["fidelity"]
+        assert fidelity["analytic_engaged"] is True
+        assert fidelity["analytic_equals_auto"] is True
+        assert fidelity["speedup"] > 0  # informational, not gated
+
+    @pytest.mark.parametrize("field,value", [
+        ("analytic_engaged", False),
+        ("analytic_equals_auto", False),
+        ("worst_rel_deviation", 0.5),
+    ])
+    def test_fidelity_gate_fails(self, bench, capsys, field, value):
+        tampered = json.loads(json.dumps(bench))
+        tampered["fidelity"][field] = value
+        reference = {"cases": bench["cases"],
+                     "fidelity": {"max_rel_deviation": 0.02}}
+        assert check_drift(tampered, reference, tolerance=0.02) == 1
+        assert "fidelity" in capsys.readouterr().err
+
+    def test_slow_executed_tier_does_not_trip_the_gate(self, bench):
+        """The gate no longer reads the wall-time ratio: an executed tier
+        that got faster (or an auto tier on a slow runner) is not a
+        fast-path regression."""
+        tampered = json.loads(json.dumps(bench))
+        tampered["fidelity"]["speedup"] = 1.0
+        assert check_drift(tampered, tampered, tolerance=0.02) == 0
+
     def test_committed_reference_matches_current_model(self):
         """The committed 4-node reference must match a fresh run — the
         same gate CI applies on every push."""
