@@ -21,13 +21,14 @@ Quickstart::
     print(result.metrics)
 """
 
-from repro.core.engine import IterationResult, TrainingSimulation
-from repro.core.scheduler import HolmesScheduler, TrainingPlan
-from repro.faults import FaultEvent, FaultKind, FaultPlan
-from repro.frameworks import FRAMEWORKS, HOLMES, simulate_framework
-from repro.hardware.nic import NICType
-from repro.model.config import GPTConfig
-from repro.parallel.degrees import ParallelConfig
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.core.engine import IterationResult
 
 __version__ = "1.0.0"
 
@@ -63,3 +64,15 @@ __all__ = [
     "simulate_framework",
     "quick_simulate",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.engine": ("IterationResult", "TrainingSimulation"),
+    "repro.core.scheduler": ("HolmesScheduler", "TrainingPlan"),
+    "repro.faults.plan": ("FaultEvent", "FaultKind", "FaultPlan"),
+    "repro.frameworks.base": ("simulate_framework",),
+    "repro.frameworks.holmes": ("HOLMES",),
+    "repro.frameworks.registry": ("FRAMEWORKS",),
+    "repro.hardware.nic": ("NICType",),
+    "repro.model.config": ("GPTConfig",),
+    "repro.parallel.degrees": ("ParallelConfig",),
+})

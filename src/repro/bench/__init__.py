@@ -4,16 +4,7 @@ Everything the ``benchmarks/`` tree uses to regenerate the paper's tables
 and figures lives here, so the benchmark files themselves stay declarative.
 """
 
-from repro.bench.paramgroups import PARAM_GROUPS, ParameterGroup
-from repro.bench.scenarios import (
-    ethernet_env,
-    homogeneous_env,
-    hybrid2_env,
-    hybrid3_env,
-    split_env,
-)
-from repro.bench.runner import run_framework_case, run_holmes_case, CaseResult
-from repro.bench.tables import format_table, format_row
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PARAM_GROUPS",
@@ -29,3 +20,16 @@ __all__ = [
     "format_table",
     "format_row",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.paramgroups": ("PARAM_GROUPS", "ParameterGroup"),
+    "repro.bench.scenarios": (
+        "ethernet_env",
+        "homogeneous_env",
+        "hybrid2_env",
+        "hybrid3_env",
+        "split_env",
+    ),
+    "repro.bench.runner": ("run_framework_case", "run_holmes_case", "CaseResult"),
+    "repro.bench.tables": ("format_table", "format_row"),
+})

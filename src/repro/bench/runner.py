@@ -14,16 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
-from repro.core.engine import IterationResult
 from repro.frameworks.base import FrameworkSpec, simulate_framework
 from repro.frameworks.holmes import HOLMES, holmes_ablation
 from repro.bench.paramgroups import ParameterGroup
-from repro.hardware.topology import ClusterTopology
-from repro.network.costmodel import CostModelConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import RunResult, Scenario
+    from repro.core.engine import IterationResult
     from repro.exec.cache import ResultCache
+    from repro.hardware.topology import ClusterTopology
+    from repro.network.costmodel import CostModelConfig
 
 #: display spellings used by the paper tables -> canonical ``Scenario.env``
 ENV_ALIASES: Dict[str, str] = {

@@ -15,16 +15,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_framework_case, run_holmes_case
-from repro.bench.scenarios import (
-    ethernet_env,
-    homogeneous_env,
-    hybrid2_env,
-    split_env,
-)
-from repro.bench.tables import format_table
 from repro.errors import ConfigurationError, FidelityError
-from repro.hardware.nic import NICType
 
 ENV_CHOICES = ("ib", "roce", "ethernet", "hybrid", "split-ib", "split-roce")
 
@@ -54,6 +45,14 @@ COMMANDS: Dict[str, str] = {
 
 def build_environment(name: str, nodes: int):
     """Materialise a named NIC environment."""
+    from repro.bench.scenarios import (
+        ethernet_env,
+        homogeneous_env,
+        hybrid2_env,
+        split_env,
+    )
+    from repro.hardware.nic import NICType
+
     if name == "ib":
         return homogeneous_env(nodes, NICType.INFINIBAND)
     if name == "roce":
@@ -128,6 +127,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "repro: --json emits the repro.api.result/v1 wire document, "
                 "which is defined for named scenarios only — drop --machine"
             )
+        from repro.bench.runner import run_holmes_case
+
         topology = resolve_machine(args)
         result = run_holmes_case(
             topology, group, scenario=args.env, full=not args.base,
@@ -157,11 +158,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.bench.tables import format_table
     from repro.frameworks import FRAMEWORKS
 
     group = PARAM_GROUPS[args.group]
     rows = []
     if args.machine:
+        from repro.bench.runner import run_framework_case
+
         topology = resolve_machine(args)
         for name, spec in FRAMEWORKS.items():
             result = run_framework_case(spec, topology, group, scenario=args.env)
@@ -698,6 +702,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.bench.benchfile import check_bench, collect_bench, write_bench
+    from repro.bench.tables import format_table
     from repro.obs.ledger import now_iso, record_run
 
     fidelity = _parse_fidelity(args.fidelity)

@@ -17,14 +17,7 @@ reports which transport each group actually negotiated (the mechanism that
 Automatic NIC Selection exploits).
 """
 
-from repro.collectives.ring import (
-    ring_allreduce,
-    ring_reduce_scatter,
-    ring_allgather,
-)
-from repro.collectives.tree import tree_broadcast, tree_reduce
-from repro.collectives.communicator import Communicator, CollectiveResult
-from repro.collectives.nccl import CommunicatorPool, GroupTransportReport
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ring_allreduce",
@@ -37,3 +30,10 @@ __all__ = [
     "CommunicatorPool",
     "GroupTransportReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.collectives.ring": ("ring_allreduce", "ring_reduce_scatter", "ring_allgather"),
+    "repro.collectives.tree": ("tree_broadcast", "tree_reduce"),
+    "repro.collectives.communicator": ("Communicator", "CollectiveResult"),
+    "repro.collectives.nccl": ("CommunicatorPool", "GroupTransportReport"),
+})

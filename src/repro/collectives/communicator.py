@@ -5,20 +5,25 @@ accept per-rank NumPy buffers, execute the real algorithm from
 :mod:`repro.collectives.ring` / :mod:`repro.collectives.tree`, and return a
 :class:`CollectiveResult` carrying both the data and the simulated duration
 over the group's negotiated transport.
+
+NumPy and the array algorithms load when a collective method first runs:
+the simulator builds communicators only to audit transports
+(:class:`~repro.collectives.nccl.CommunicatorPool`), and that path stays
+free of NumPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import numpy as np
-
-from repro.collectives import ring, tree
 from repro.errors import CommunicatorError
 from repro.network.contention import group_node_span
 from repro.network.fabric import Fabric
 from repro.network.transport import Transport
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,8 @@ class Communicator:
         return group_node_span(self.fabric.topology, self.ranks)
 
     def _check_buffers(self, buffers: Sequence[np.ndarray]) -> List[np.ndarray]:
+        import numpy as np
+
         if len(buffers) != self.size:
             raise CommunicatorError(
                 f"{self.name}: expected {self.size} buffers, got {len(buffers)}"
@@ -86,6 +93,8 @@ class Communicator:
         self, buffers: Sequence[np.ndarray], op: str = "sum", concurrent: int = 1
     ) -> CollectiveResult:
         """Ring all-reduce; every rank receives the full reduction."""
+        from repro.collectives import ring
+
         arrays = self._check_buffers(buffers)
         nbytes = int(arrays[0].nbytes)
         results = ring.ring_allreduce(arrays, op=op) if self.size > 1 else [arrays[0].copy()]
@@ -102,6 +111,8 @@ class Communicator:
     ) -> CollectiveResult:
         """Ring reduce-scatter; rank ``i`` receives reduced shard ``(i+1)%d``
         (ring-native placement; see :func:`ring.ring_reduce_scatter`)."""
+        from repro.collectives import ring
+
         arrays = self._check_buffers(buffers)
         nbytes = int(arrays[0].nbytes)
         results = (
@@ -121,6 +132,8 @@ class Communicator:
         self, shards: Sequence[np.ndarray], concurrent: int = 1
     ) -> CollectiveResult:
         """Ring all-gather; every rank receives the shard concatenation."""
+        from repro.collectives import ring
+
         arrays = self._check_buffers(shards)
         total_bytes = int(sum(a.nbytes for a in arrays))
         results = ring.ring_allgather(arrays) if self.size > 1 else [arrays[0].copy()]
@@ -136,6 +149,10 @@ class Communicator:
         self, buffer: np.ndarray, root: int = 0, concurrent: int = 1
     ) -> CollectiveResult:
         """Tree broadcast from group position ``root``."""
+        import numpy as np
+
+        from repro.collectives import tree
+
         if not 0 <= root < self.size:
             raise CommunicatorError(f"broadcast root {root} outside group")
         arr = np.asarray(buffer)

@@ -13,28 +13,7 @@
   reports them.
 """
 
-from repro.core.partition import (
-    uniform_partition,
-    self_adapting_partition,
-    stage_speed_from_nic,
-)
-from repro.core.nic_selection import NICSelectionAudit, audit_parallel_groups
-from repro.core.optimizer import OptimizerStrategy, STRATEGIES
-from repro.core.scheduler import HolmesScheduler, TrainingPlan
-from repro.core.engine import TrainingSimulation, IterationResult
-from repro.core.metrics import IterationMetrics, compute_metrics
-from repro.core.memory_model import MemoryEstimate, estimate_memory, fits_in_memory
-from repro.core.planner import PlanCandidate, plan_best
-from repro.core.faults import CheckpointPolicy, replan_after_failure, surviving_topology
-from repro.core.longrun import (
-    CampaignResult,
-    ElasticPolicy,
-    ElasticCampaignResult,
-    elastic_goodput_analytic,
-    simulate_campaign,
-    simulate_elastic_campaign,
-)
-from repro.core.analysis import IterationAnalysis, analyze
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MemoryEstimate",
@@ -67,3 +46,28 @@ __all__ = [
     "IterationMetrics",
     "compute_metrics",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.partition": (
+        "uniform_partition",
+        "self_adapting_partition",
+        "stage_speed_from_nic",
+    ),
+    "repro.core.nic_selection": ("NICSelectionAudit", "audit_parallel_groups"),
+    "repro.core.optimizer": ("OptimizerStrategy", "STRATEGIES"),
+    "repro.core.scheduler": ("HolmesScheduler", "TrainingPlan"),
+    "repro.core.engine": ("TrainingSimulation", "IterationResult"),
+    "repro.core.metrics": ("IterationMetrics", "compute_metrics"),
+    "repro.core.memory_model": ("MemoryEstimate", "estimate_memory", "fits_in_memory"),
+    "repro.core.planner": ("PlanCandidate", "plan_best"),
+    "repro.core.faults": ("CheckpointPolicy", "replan_after_failure", "surviving_topology"),
+    "repro.core.longrun": (
+        "CampaignResult",
+        "ElasticPolicy",
+        "ElasticCampaignResult",
+        "elastic_goodput_analytic",
+        "simulate_campaign",
+        "simulate_elastic_campaign",
+    ),
+    "repro.core.analysis": ("IterationAnalysis", "analyze"),
+})

@@ -43,10 +43,9 @@ from repro.network.costmodel import CostModelConfig
 from repro.network.fabric import Fabric
 from repro.obs.attribution import AttributionReport, Category, attribute_iteration
 from repro.obs.registry import MetricsRegistry
-from repro.schedule.gpipe import gpipe
 from repro.schedule.interleaved import interleaved_1f1b
 from repro.schedule.microbatch import OpKind, PipelineOp, validate_schedule
-from repro.schedule.pipeline import one_f_one_b
+from repro.schedule.pipeline import gpipe, one_f_one_b
 from repro.simcore.engine import SimEngine
 from repro.simcore.process import AllOf, Timeout
 from repro.simcore.trace import TraceRecorder

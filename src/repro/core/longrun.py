@@ -15,8 +15,6 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.faults import CheckpointPolicy, replan_after_failure
 from repro.errors import ConfigurationError
 from repro.hardware.topology import ClusterTopology
@@ -75,6 +73,8 @@ def simulate_campaign(
     T = interval if interval is not None else policy.optimal_interval
     if T <= 0:
         raise ConfigurationError(f"interval must be positive: {T}")
+
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     now = 0.0
@@ -310,6 +310,8 @@ def simulate_elastic_campaign(
                 alive, total - worst
             )
         return linear_throughput_fraction(alive, total)
+
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     now = 0.0

@@ -14,9 +14,7 @@ substrate (:mod:`repro.nn`):
   Megatron invariant).
 """
 
-from repro.data.corpus import SyntheticCorpus
-from repro.data.tokenizer import BPETokenizer, CharTokenizer
-from repro.data.dataset import DataParallelSampler, TokenDataset
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SyntheticCorpus",
@@ -25,3 +23,9 @@ __all__ = [
     "TokenDataset",
     "DataParallelSampler",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.data.corpus": ("SyntheticCorpus",),
+    "repro.data.tokenizer": ("BPETokenizer", "CharTokenizer"),
+    "repro.data.dataset": ("DataParallelSampler", "TokenDataset"),
+})

@@ -21,24 +21,7 @@ run is) and the simulator (which defines what a run *does*):
   CI regression gate.
 """
 
-from repro.exec.cache import ResultCache
-from repro.exec.digest import CODE_VERSION_SALT, scenario_digest
-from repro.exec.engine import partition, pmap, resolve_jobs, run_sweep
-from repro.exec.journal import SweepJournal, sweep_digest
-from repro.exec.microbench import (
-    MICROBENCHES,
-    check_regression,
-    run_microbenches,
-)
-from repro.exec.resilience import (
-    ScenarioFailure,
-    SweepError,
-    SweepOutcome,
-    SweepPolicy,
-    exec_metrics,
-    format_resilience_summary,
-    resilience_summary,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CODE_VERSION_SALT",
@@ -61,3 +44,20 @@ __all__ = [
     "scenario_digest",
     "sweep_digest",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.exec.cache": ("ResultCache",),
+    "repro.exec.digest": ("CODE_VERSION_SALT", "scenario_digest"),
+    "repro.exec.engine": ("partition", "pmap", "resolve_jobs", "run_sweep"),
+    "repro.exec.journal": ("SweepJournal", "sweep_digest"),
+    "repro.exec.microbench": ("MICROBENCHES", "check_regression", "run_microbenches"),
+    "repro.exec.resilience": (
+        "ScenarioFailure",
+        "SweepError",
+        "SweepOutcome",
+        "SweepPolicy",
+        "exec_metrics",
+        "format_resilience_summary",
+        "resilience_summary",
+    ),
+})

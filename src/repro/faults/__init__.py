@@ -19,8 +19,7 @@ Replaying the same plan through the same simulation yields byte-identical
 metrics — faults are part of the deterministic script, not hidden RNG state.
 """
 
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.faults.injector import FaultInjector, FaultRecord, FaultReport
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FaultEvent",
@@ -30,3 +29,8 @@ __all__ = [
     "FaultRecord",
     "FaultReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.plan": ("FaultEvent", "FaultKind", "FaultPlan"),
+    "repro.faults.injector": ("FaultInjector", "FaultRecord", "FaultReport"),
+})

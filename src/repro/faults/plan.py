@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.hardware.topology import ClusterTopology
 
@@ -200,6 +198,8 @@ class FaultPlan:
             raise ConfigurationError(f"num_events must be >= 0: {num_events}")
         if not kinds:
             raise ConfigurationError("at least one fault kind required")
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         mean = mean_duration if mean_duration is not None else horizon / 4.0
         rdma_nodes = [

@@ -20,16 +20,7 @@ support using the low-speed Ethernet NIC ... in the heterogeneous
 environment").  In homogeneous environments the baselines use RDMA normally.
 """
 
-from repro.frameworks.base import FrameworkSpec, simulate_framework
-from repro.frameworks.holmes import HOLMES, holmes_ablation
-from repro.frameworks.megatron_lm import MEGATRON_LM
-from repro.frameworks.megatron_deepspeed import MEGATRON_DEEPSPEED
-from repro.frameworks.megatron_llama import MEGATRON_LLAMA
-
-FRAMEWORKS = {
-    spec.name: spec
-    for spec in (HOLMES, MEGATRON_LM, MEGATRON_DEEPSPEED, MEGATRON_LLAMA)
-}
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FrameworkSpec",
@@ -41,3 +32,12 @@ __all__ = [
     "MEGATRON_LLAMA",
     "FRAMEWORKS",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.frameworks.base": ("FrameworkSpec", "simulate_framework"),
+    "repro.frameworks.holmes": ("HOLMES", "holmes_ablation"),
+    "repro.frameworks.megatron_lm": ("MEGATRON_LM",),
+    "repro.frameworks.megatron_deepspeed": ("MEGATRON_DEEPSPEED",),
+    "repro.frameworks.megatron_llama": ("MEGATRON_LLAMA",),
+    "repro.frameworks.registry": ("FRAMEWORKS",),
+})

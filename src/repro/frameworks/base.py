@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.engine import IterationResult, TrainingSimulation
 from repro.core.optimizer import OptimizerStrategy
-from repro.core.scheduler import HolmesScheduler
-from repro.hardware.topology import ClusterTopology
-from repro.model.config import GPTConfig
-from repro.network.costmodel import CostModelConfig
-from repro.parallel.degrees import ParallelConfig
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.core.engine import IterationResult
+    from repro.hardware.topology import ClusterTopology
+    from repro.model.config import GPTConfig
+    from repro.network.costmodel import CostModelConfig
+    from repro.parallel.degrees import ParallelConfig
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,9 @@ def simulate_framework(
     fidelity: str = "executed",
 ) -> IterationResult:
     """Plan and simulate one training iteration under a framework preset."""
+    from repro.core.engine import TrainingSimulation
+    from repro.core.scheduler import HolmesScheduler
+
     scheduler = HolmesScheduler(alpha=spec.alpha)
     plan = scheduler.plan(
         topology,

@@ -7,13 +7,7 @@ NIC types per node, which pairs of ranks share a node or a cluster — lives in
 :class:`~repro.hardware.topology.ClusterTopology`.
 """
 
-from repro.hardware.nic import NICType, NICSpec
-from repro.hardware.gpu import GPUSpec
-from repro.hardware.link import LinkType, LinkSpec
-from repro.hardware.node import Node
-from repro.hardware.cluster import Cluster
-from repro.hardware.topology import ClusterTopology, DeviceInfo
-from repro.hardware import presets
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NICType",
@@ -27,3 +21,12 @@ __all__ = [
     "DeviceInfo",
     "presets",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hardware.nic": ("NICType", "NICSpec"),
+    "repro.hardware.gpu": ("GPUSpec",),
+    "repro.hardware.link": ("LinkType", "LinkSpec"),
+    "repro.hardware.node": ("Node",),
+    "repro.hardware.cluster": ("Cluster",),
+    "repro.hardware.topology": ("ClusterTopology", "DeviceInfo"),
+}, submodules=("presets",))

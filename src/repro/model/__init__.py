@@ -6,20 +6,7 @@ depend only on *counts*: parameters (Eq. 5), floating-point operations
 This subpackage computes those counts exactly as the paper defines them.
 """
 
-from repro.model.config import GPTConfig
-from repro.model.params import parameter_count, layer_parameter_counts
-from repro.model.flops import (
-    flops_per_iteration,
-    layer_flops_per_microbatch,
-    logit_flops_per_microbatch,
-)
-from repro.model.memory import (
-    activation_message_bytes,
-    gradient_bytes,
-    optimizer_state_bytes,
-    parameter_bytes,
-)
-from repro.model.layers import LayerKind, LayerSpec, build_layer_stack
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GPTConfig",
@@ -36,3 +23,20 @@ __all__ = [
     "LayerSpec",
     "build_layer_stack",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.model.config": ("GPTConfig",),
+    "repro.model.params": ("parameter_count", "layer_parameter_counts"),
+    "repro.model.flops": (
+        "flops_per_iteration",
+        "layer_flops_per_microbatch",
+        "logit_flops_per_microbatch",
+    ),
+    "repro.model.memory": (
+        "activation_message_bytes",
+        "gradient_bytes",
+        "optimizer_state_bytes",
+        "parameter_bytes",
+    ),
+    "repro.model.layers": ("LayerKind", "LayerSpec", "build_layer_stack"),
+})

@@ -7,18 +7,7 @@ share a compatible RDMA family, TCP over Ethernet otherwise — and prices
 transfers with an alpha-beta cost model that includes per-NIC contention.
 """
 
-from repro.network.transport import Transport, TransportKind, resolve_transport
-from repro.network.costmodel import CostModelConfig, CollectiveCostModel
-from repro.network.contention import concurrent_groups_per_nic, group_node_span
-from repro.network.fabric import Fabric
-from repro.network.health import FabricHealth, FaultStats, NicHealth
-from repro.network.reliability import (
-    RetryPolicy,
-    delivery_probability,
-    expected_attempts,
-    expected_retry_overhead,
-    reliable_transfer_time,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Transport",
@@ -38,3 +27,18 @@ __all__ = [
     "expected_retry_overhead",
     "reliable_transfer_time",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.network.transport": ("Transport", "TransportKind", "resolve_transport"),
+    "repro.network.costmodel": ("CostModelConfig", "CollectiveCostModel"),
+    "repro.network.contention": ("concurrent_groups_per_nic", "group_node_span"),
+    "repro.network.fabric": ("Fabric",),
+    "repro.network.health": ("FabricHealth", "FaultStats", "NicHealth"),
+    "repro.network.reliability": (
+        "RetryPolicy",
+        "delivery_probability",
+        "expected_attempts",
+        "expected_retry_overhead",
+        "reliable_transfer_time",
+    ),
+})

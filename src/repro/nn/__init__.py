@@ -19,19 +19,7 @@ Nothing here aims for speed — it aims to prove the parallelism math the
 simulator's timing model takes for granted.
 """
 
-from repro.nn.model import TinyGPT, TinyGPTConfig
-from repro.nn.optim import Adam, SGD
-from repro.nn.parallel_train import (
-    DataParallelTrainer,
-    PipelineParallelTrainer,
-    SingleTrainer,
-)
-from repro.nn.tensor_parallel import (
-    TensorParallelTrainer,
-    shard_block_params,
-    tp_block_backward,
-    tp_block_forward,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TinyGPT",
@@ -46,3 +34,15 @@ __all__ = [
     "tp_block_forward",
     "tp_block_backward",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.nn.model": ("TinyGPT", "TinyGPTConfig"),
+    "repro.nn.optim": ("Adam", "SGD"),
+    "repro.nn.parallel_train": ("DataParallelTrainer", "PipelineParallelTrainer", "SingleTrainer"),
+    "repro.nn.tensor_parallel": (
+        "TensorParallelTrainer",
+        "shard_block_params",
+        "tp_block_backward",
+        "tp_block_forward",
+    ),
+})

@@ -27,41 +27,7 @@ Two campaign-level pillars (PR 7) look *across* iterations and runs:
   --trend``.
 """
 
-from repro.obs.attribution import (
-    Category,
-    AttributionReport,
-    EdgeCost,
-    attribute_iteration,
-    attribute_result,
-)
-from repro.obs.flight import (
-    CampaignState,
-    FlightLog,
-    FlightRecorder,
-    SweepProgress,
-    TextfileExporter,
-    events_path_for,
-    read_events,
-    scenario_story,
-    summarize_events,
-)
-from repro.obs.ledger import (
-    RunLedger,
-    RunRecord,
-    bench_trend,
-    load_bench_history,
-    record_run,
-    render_trend,
-    trend_regressions,
-)
-from repro.obs.registry import Counter, Gauge, HistogramMetric, MetricsRegistry
-from repro.obs.report import build_report, render_report, validate_report
-from repro.obs.timeline import (
-    UtilizationSeries,
-    link_utilization,
-    nic_utilization,
-    utilization_counter_events,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Category",
@@ -97,3 +63,41 @@ __all__ = [
     "nic_utilization",
     "utilization_counter_events",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.attribution": (
+        "Category",
+        "AttributionReport",
+        "EdgeCost",
+        "attribute_iteration",
+        "attribute_result",
+    ),
+    "repro.obs.flight": (
+        "CampaignState",
+        "FlightLog",
+        "FlightRecorder",
+        "SweepProgress",
+        "TextfileExporter",
+        "events_path_for",
+        "read_events",
+        "scenario_story",
+        "summarize_events",
+    ),
+    "repro.obs.ledger": (
+        "RunLedger",
+        "RunRecord",
+        "bench_trend",
+        "load_bench_history",
+        "record_run",
+        "render_trend",
+        "trend_regressions",
+    ),
+    "repro.obs.registry": ("Counter", "Gauge", "HistogramMetric", "MetricsRegistry"),
+    "repro.obs.report": ("build_report", "render_report", "validate_report"),
+    "repro.obs.timeline": (
+        "UtilizationSeries",
+        "link_utilization",
+        "nic_utilization",
+        "utilization_counter_events",
+    ),
+})

@@ -8,8 +8,12 @@ ranks to physical devices (:mod:`repro.parallel.mapping`), chosen so that
 communication-heavy groups land on fast homogeneous NICs.
 """
 
-from repro.parallel.degrees import ParallelConfig
-from repro.parallel.groups import ParallelLayout
-from repro.parallel.mapping import Placement, identity_placement
+from repro._lazy import lazy_exports
 
 __all__ = ["ParallelConfig", "ParallelLayout", "Placement", "identity_placement"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.parallel.degrees": ("ParallelConfig",),
+    "repro.parallel.groups": ("ParallelLayout",),
+    "repro.parallel.mapping": ("Placement", "identity_placement"),
+})

@@ -8,27 +8,7 @@ simulated search (:mod:`repro.plan.search`).  The result serialises to the
 schema-gated ``repro.plan.report/v1`` document (:mod:`repro.plan.report`).
 """
 
-from repro.plan.candidates import (
-    SEARCH_FRAMEWORKS,
-    SEARCH_SCHEDULES,
-    enumerate_candidates,
-    enumerate_layouts,
-    preset_scenarios,
-)
-from repro.plan.oracle import OracleEstimate, oracle_estimate
-from repro.plan.report import (
-    PLAN_SCHEMA,
-    build_plan_report,
-    render_plan_report,
-    validate_plan_report,
-)
-from repro.plan.search import (
-    PLAN_FIDELITY_RTOL,
-    PLAN_RANK_RTOL,
-    PlanResult,
-    RankedLayout,
-    plan_scenario,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PLAN_FIDELITY_RTOL",
@@ -48,3 +28,27 @@ __all__ = [
     "render_plan_report",
     "validate_plan_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.plan.candidates": (
+        "SEARCH_FRAMEWORKS",
+        "SEARCH_SCHEDULES",
+        "enumerate_candidates",
+        "enumerate_layouts",
+        "preset_scenarios",
+    ),
+    "repro.plan.oracle": ("OracleEstimate", "oracle_estimate"),
+    "repro.plan.report": (
+        "PLAN_SCHEMA",
+        "build_plan_report",
+        "render_plan_report",
+        "validate_plan_report",
+    ),
+    "repro.plan.search": (
+        "PLAN_FIDELITY_RTOL",
+        "PLAN_RANK_RTOL",
+        "PlanResult",
+        "RankedLayout",
+        "plan_scenario",
+    ),
+})

@@ -10,16 +10,13 @@ Implemented schedules:
 
 - :func:`~repro.schedule.pipeline.one_f_one_b` — PipeDream-Flush / 1F1B,
   the paper's base schedule (§3.1.2 "similar to PipeDream-Flush");
-- :func:`~repro.schedule.gpipe.gpipe` — all-forwards-then-all-backwards
+- :func:`~repro.schedule.pipeline.gpipe` — all-forwards-then-all-backwards
   baseline;
 - :func:`~repro.schedule.interleaved.interleaved_1f1b` — Megatron's
   interleaved virtual-stage schedule (the paper enables it, §4.1).
 """
 
-from repro.schedule.microbatch import PipelineOp, OpKind, validate_schedule
-from repro.schedule.pipeline import one_f_one_b
-from repro.schedule.gpipe import gpipe
-from repro.schedule.interleaved import interleaved_1f1b
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PipelineOp",
@@ -29,3 +26,9 @@ __all__ = [
     "gpipe",
     "interleaved_1f1b",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.schedule.microbatch": ("PipelineOp", "OpKind", "validate_schedule"),
+    "repro.schedule.pipeline": ("gpipe", "one_f_one_b"),
+    "repro.schedule.interleaved": ("interleaved_1f1b",),
+})

@@ -1,4 +1,4 @@
-"""PipeDream-Flush (1F1B) schedule generation.
+"""Flush pipeline schedules: PipeDream-Flush (1F1B) and GPipe.
 
 The paper's pipeline parallelism is "similar to PipeDream-Flush" (§3.1.2):
 each stage runs a warm-up of forwards, a steady phase alternating one
@@ -9,6 +9,10 @@ across stages.
 For stage ``s`` of ``p`` with ``m`` microbatches the warm-up depth is
 ``min(m, p - s - 1)`` — the last stage starts its first backward
 immediately, earlier stages hold proportionally more in-flight microbatches.
+
+GPipe (Huang et al.) runs all forwards, then all backwards: simple but
+memory-hungry (all activations held until the backward phase), with the
+same ideal bubble as 1F1B.  It is the baseline for schedule ablations.
 """
 
 from __future__ import annotations
@@ -43,6 +47,20 @@ def one_f_one_b(num_stages: int, num_microbatches: int) -> List[List[PipelineOp]
         # Cool-down: drain remaining backwards.
         for mb in range(num_microbatches - warmup, num_microbatches):
             ops.append(PipelineOp(OpKind.BACKWARD, mb))
+        schedule.append(ops)
+    return schedule
+
+
+def gpipe(num_stages: int, num_microbatches: int) -> List[List[PipelineOp]]:
+    """Generate the GPipe schedule for every stage."""
+    if num_stages < 1:
+        raise SchedulingError(f"num_stages must be >= 1: {num_stages}")
+    if num_microbatches < 1:
+        raise SchedulingError(f"num_microbatches must be >= 1: {num_microbatches}")
+    schedule: List[List[PipelineOp]] = []
+    for _stage in range(num_stages):
+        ops = [PipelineOp(OpKind.FORWARD, mb) for mb in range(num_microbatches)]
+        ops += [PipelineOp(OpKind.BACKWARD, mb) for mb in range(num_microbatches)]
         schedule.append(ops)
     return schedule
 

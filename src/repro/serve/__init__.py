@@ -10,21 +10,7 @@ recorder, chaos tolerance, and determinism all carry over.  See
 ``docs/serving.md``.
 """
 
-from repro.serve.queue import (
-    BacklogFull,
-    Job,
-    JobQueue,
-    QueueRejection,
-    QuotaExceeded,
-)
-from repro.serve.server import (
-    ServeConfig,
-    ServiceHandle,
-    SimulationService,
-    run_server,
-    serve_async,
-    start_in_process,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BacklogFull",
@@ -39,3 +25,15 @@ __all__ = [
     "serve_async",
     "start_in_process",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.queue": ("BacklogFull", "Job", "JobQueue", "QueueRejection", "QuotaExceeded"),
+    "repro.serve.server": (
+        "ServeConfig",
+        "ServiceHandle",
+        "SimulationService",
+        "run_server",
+        "serve_async",
+        "start_in_process",
+    ),
+})

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import importlib
 import itertools
 import json
 import os
@@ -59,6 +60,18 @@ from repro.api.schema import (
     validate_request,
 )
 from repro.serve.queue import Job, JobQueue, QueueRejection
+
+#: What a served run executes, imported when the service is built so that
+#: no request pays a first-use import (package roots are lazy).  NumPy is
+#: the executor's per-scenario reseed of the process-global RNGs.
+RUN_PATH_MODULES = (
+    "repro.api",
+    "repro.core.engine",
+    "repro.exec.engine",
+    "repro.obs.flight",
+    "repro.validate.replay",
+    "numpy",
+)
 
 #: request-latency buckets (seconds): sub-millisecond cache hits through
 #: multi-second executed sweeps.
@@ -115,6 +128,8 @@ class SimulationService:
         from repro.obs.ledger import now_iso
         from repro.obs.registry import MetricsRegistry
 
+        for module in RUN_PATH_MODULES:
+            importlib.import_module(module)
         self.config = config or ServeConfig()
         self.cache = ResultCache(self.config.cache_dir)
         self.spool = Path(

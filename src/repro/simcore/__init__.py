@@ -11,12 +11,7 @@ collectives (:mod:`repro.collectives.executor`) become channel puts/gets
 through per-node NIC :class:`Resource` queues.
 """
 
-from repro.simcore.event import SimEvent
-from repro.simcore.engine import SimEngine
-from repro.simcore.process import Process, Timeout, Wait, AllOf, AnyOf
-from repro.simcore.resource import Resource, Store, Barrier
-from repro.simcore.trace import Span, TraceRecorder
-from repro.simcore.stats import RunningStats, Histogram
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SimEvent",
@@ -34,3 +29,12 @@ __all__ = [
     "RunningStats",
     "Histogram",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simcore.event": ("SimEvent",),
+    "repro.simcore.engine": ("SimEngine",),
+    "repro.simcore.process": ("Process", "Timeout", "Wait", "AllOf", "AnyOf"),
+    "repro.simcore.resource": ("Resource", "Store", "Barrier"),
+    "repro.simcore.trace": ("Span", "TraceRecorder"),
+    "repro.simcore.stats": ("RunningStats", "Histogram"),
+})

@@ -26,30 +26,7 @@ happen to pin.  This package makes those properties first-class:
   a schema-versioned ``repro.validate.report/v1`` document.
 """
 
-from repro.errors import InvariantViolation
-from repro.validate.hooks import ValidationHooks
-from repro.validate.metamorphic import (
-    RELATIONS,
-    Relation,
-    RelationResult,
-    check_relation,
-    run_validation,
-)
-from repro.validate.replay import (
-    ReplayReport,
-    RunFingerprint,
-    diff_runs,
-    fingerprint,
-    metrics_digest,
-    trace_digest,
-)
-from repro.validate.report import (
-    VALIDATION_SCHEMA,
-    build_validation_report,
-    render_validation_report,
-    validate_validation_report,
-)
-from repro.validate.scenarios import ScenarioSpec, sample_scenarios, scaled_topology
+from repro._lazy import lazy_exports
 
 __all__ = [
     "InvariantViolation",
@@ -73,3 +50,30 @@ __all__ = [
     "sample_scenarios",
     "scaled_topology",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": ("InvariantViolation",),
+    "repro.validate.hooks": ("ValidationHooks",),
+    "repro.validate.metamorphic": (
+        "RELATIONS",
+        "Relation",
+        "RelationResult",
+        "check_relation",
+        "run_validation",
+    ),
+    "repro.validate.replay": (
+        "ReplayReport",
+        "RunFingerprint",
+        "diff_runs",
+        "fingerprint",
+        "metrics_digest",
+        "trace_digest",
+    ),
+    "repro.validate.report": (
+        "VALIDATION_SCHEMA",
+        "build_validation_report",
+        "render_validation_report",
+        "validate_validation_report",
+    ),
+    "repro.validate.scenarios": ("ScenarioSpec", "sample_scenarios", "scaled_topology"),
+})

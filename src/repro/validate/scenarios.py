@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.bench.scenarios import (
     ethernet_env,
@@ -26,14 +26,14 @@ from repro.bench.scenarios import (
     hybrid2_env,
     split_env,
 )
-from repro.core.engine import IterationResult, TrainingSimulation
-from repro.core.scheduler import HolmesScheduler
 from repro.faults.plan import FaultPlan
 from repro.hardware.nic import NICType
 from repro.hardware.topology import ClusterTopology
 from repro.model.config import GPTConfig
-from repro.network.costmodel import CostModelConfig
 from repro.parallel.degrees import ParallelConfig
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.core.engine import IterationResult, TrainingSimulation
 
 #: environment name -> topology builder(nodes, gpus_per_node)
 ENV_BUILDERS: Dict[str, Callable[[int, int], ClusterTopology]] = {
@@ -153,6 +153,10 @@ class ScenarioSpec:
         transform; ``with_faults=False`` strips the fault plan so monotonic
         relations are not confounded by wall-clock-anchored fault windows.
         """
+        from repro.core.engine import TrainingSimulation
+        from repro.core.scheduler import HolmesScheduler
+        from repro.network.costmodel import CostModelConfig
+
         topo = self.topology(bandwidth_scale)
         m = num_microbatches if num_microbatches is not None else self.num_microbatches
         parallel = ParallelConfig(

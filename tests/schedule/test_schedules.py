@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulingError
-from repro.schedule.gpipe import gpipe
+from repro.schedule.pipeline import gpipe
 from repro.schedule.interleaved import (
     interleaved_1f1b,
     interleaved_bubble_fraction,
