@@ -207,6 +207,10 @@ class Scenario:
             raise ConfigurationError(
                 f"parallel degrees must be >= 1: t{self.tensor} p{self.pipeline}"
             )
+        if self.micro_batch_size < 1:
+            raise ConfigurationError(
+                f"micro_batch_size must be >= 1: {self.micro_batch_size}"
+            )
         data = self.data
         if data == 0:
             tp = self.tensor * self.pipeline

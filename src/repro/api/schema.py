@@ -126,6 +126,7 @@ def validate_request(
     top-level or options keys and invalid canonical scenarios.
     """
     from repro.api import Scenario
+    from repro.errors import ConfigurationError
 
     _check_schema_tag(doc, REQUEST_SCHEMA, "request")
     check_keys(doc, required=("schema", "kind", "scenarios"),
@@ -144,7 +145,7 @@ def validate_request(
             raise SchemaError(f"request scenarios[{index}] is not a mapping")
         try:
             scenarios.append(Scenario.from_canonical(canonical))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(
                 f"request scenarios[{index}] is not a valid canonical "
                 f"scenario: {exc}"
@@ -157,7 +158,27 @@ def validate_request(
     if unknown:
         raise SchemaError(f"{kind} request options: unknown keys {unknown} "
                           f"(allowed: {list(allowed)})")
+    for key, value in options.items():
+        _check_option(str(kind), key, value)
     return str(kind), scenarios, dict(options)
+
+
+def _check_option(kind: str, key: str, value: object) -> None:
+    """Option values are checked here, so a request that passes the schema
+    fails, if at all, inside the simulation and not while it is queued."""
+    from repro.network.contention import FIDELITY_MODES
+
+    if key == "fidelity":
+        if value not in FIDELITY_MODES:
+            raise SchemaError(f"{kind} request options: fidelity {value!r} "
+                              f"is not one of {list(FIDELITY_MODES)}")
+        return
+    least = 1 if key in ("budget", "top_k") else None
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise SchemaError(f"{kind} request options: {key} must be an "
+                          f"integer{bound}, got {value!r}")
 
 
 # ---------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import time
 import urllib.parse
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
@@ -54,9 +55,9 @@ class ServeClient:
     # transport
     # ------------------------------------------------------------------ #
 
-    def _request(self, method: str, path: str,
-                 body: Optional[object] = None) -> Dict[str, object]:
-        status, raw, _ = self._raw(method, path, body)
+    def _request(self, method: str, path: str, body: Optional[object] = None,
+                 timeout: Optional[float] = None) -> Dict[str, object]:
+        status, raw, _ = self._raw(method, path, body, timeout)
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -65,9 +66,11 @@ class ServeClient:
             raise ServeClientError(status, payload)
         return payload
 
-    def _raw(self, method: str, path: str, body: Optional[object] = None):
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+    def _raw(self, method: str, path: str, body: Optional[object] = None,
+             timeout: Optional[float] = None):
+        conn = http.client.HTTPConnection(
+            self.host, self.port,
+            timeout=self.timeout if timeout is None else timeout)
         try:
             headers = {"X-Tenant": self.tenant, "Connection": "close"}
             data = None
@@ -139,20 +142,30 @@ class ServeClient:
     def job(self, job_id: str) -> Dict[str, object]:
         return self._request("GET", f"/v1/jobs/{job_id}")
 
-    def wait(self, job_id: str, timeout: float = 600.0,
-             poll: float = 0.1) -> Dict[str, object]:
-        """Poll a job to a terminal state; returns its status document."""
-        deadline = time.time() + timeout
+    def wait(self, job_id: str, timeout: float = 600.0) -> Dict[str, object]:
+        """Block until a job is terminal; returns its status document.
+
+        Long-polls ``GET /v1/jobs/<id>?wait=1``: the daemon answers as the
+        job finishes, or with the job still running once its own
+        ``request_timeout`` has passed, and then this asks again."""
+        deadline = time.monotonic() + timeout
+        path = f"/v1/jobs/{job_id}?wait=1"
         while True:
-            doc = self.job(job_id)
-            if doc.get("state") in ("done", "failed"):
-                return doc
-            if time.time() > deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                doc = self.job(job_id)
+                if doc.get("state") in ("done", "failed"):
+                    return doc
                 raise ServeClientError(
                     504, {"error": {"message": f"job {job_id} still "
                                                f"{doc.get('state')} after "
                                                f"{timeout:.0f}s"}})
-            time.sleep(poll)
+            try:
+                doc = self._request("GET", path, timeout=remaining)
+            except socket.timeout:
+                continue
+            if doc.get("state") in ("done", "failed"):
+                return doc
 
     def sweep(self, scenarios: Sequence[object], *, priority: int = 0,
               fidelity: Optional[str] = None, timeout: float = 600.0):

@@ -14,7 +14,9 @@ runner threads:
   HTTP layer maps both to ``429``.
 
 All methods are thread-safe; :meth:`JobQueue.take` blocks runner threads
-until work arrives or the queue is closed.
+until work arrives or the queue is closed.  The queue also counts the jobs
+taken but not yet :meth:`~JobQueue.done`, so :meth:`JobQueue.wait_idle`
+can block until no job is queued or running without polling.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import heapq
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ReproError
 
@@ -74,8 +76,42 @@ class Job:
     events_path: str = ""
     document: Optional[Dict[str, object]] = None
     stats: Dict[str, int] = field(default_factory=dict)
-    #: set when the job reaches a terminal state (done/failed)
+    #: set when the job reaches a terminal state (done/failed); for sync
+    #: callers — async waiters register with :meth:`add_done_callback`
     done_event: threading.Event = field(default_factory=threading.Event, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False)
+    _callbacks: List[Callable[["Job"], None]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+
+    def add_done_callback(self, callback: Callable[["Job"], None]) -> None:
+        """Call ``callback(job)`` once the job is terminal: from the thread
+        that calls :meth:`finish`, or at once if the job already finished.
+
+        Registration and :meth:`finish` share the job's lock, so a job
+        that finishes between a caller's check and its registration still
+        calls back.  Callbacks run in the runner thread and must not
+        raise."""
+        with self._lock:
+            if not self.done_event.is_set():
+                self._callbacks.append(callback)
+                return
+        callback(self)
+
+    def remove_done_callback(self, callback: Callable[["Job"], None]) -> None:
+        """Deregister a waiter that gave up (timed out, cancelled)."""
+        with self._lock:
+            if callback in self._callbacks:
+                self._callbacks.remove(callback)
+
+    def finish(self) -> None:
+        """Mark the job terminal: set :attr:`done_event`, then run (once)
+        every registered callback."""
+        with self._lock:
+            self.done_event.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
 
     def status_document(self) -> Dict[str, object]:
         """The ``/v1/jobs/<id>`` wire document (pure JSON)."""
@@ -115,6 +151,9 @@ class JobQueue:
         self._rotation: List[str] = []
         self._seq = itertools.count()
         self._size = 0
+        #: jobs handed out by take() and not yet done()
+        self._in_flight = 0
+        self._idle = threading.Condition(self._lock)
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -145,13 +184,15 @@ class JobQueue:
     # ------------------------------------------------------------------ #
 
     def take(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Pop the next job fairly; block up to ``timeout`` seconds.
+        """Pop the next job fairly; block up to ``timeout`` seconds
+        (``None``: until work arrives or the queue closes).
 
         Returns ``None`` on timeout or when the queue is closed and empty.
+        A returned job counts as in flight until :meth:`done`.
         """
         with self._lock:
-            if self._size == 0 and not self._closed:
-                self._available.wait(timeout)
+            self._available.wait_for(lambda: self._size or self._closed,
+                                     timeout)
             if self._size == 0:
                 return None
             # Round-robin: serve the first tenant (in rotation order) with
@@ -161,9 +202,24 @@ class JobQueue:
                 if heap:
                     _, _, job = heapq.heappop(heap)
                     self._size -= 1
+                    self._in_flight += 1
                     self._rotation.append(self._rotation.pop(offset))
                     return job
             return None  # pragma: no cover - size/heap invariant
+
+    def done(self, job: Job) -> None:
+        """A job from :meth:`take` has finished executing."""
+        with self._lock:
+            self._in_flight -= 1
+            if self._size == 0 and self._in_flight == 0:
+                self._idle.notify_all()
+
+    def wait_idle(self, timeout: Optional[float] = None) -> bool:
+        """Block until no job is queued or in flight; ``False`` if
+        ``timeout`` seconds pass first."""
+        with self._lock:
+            return self._idle.wait_for(
+                lambda: self._size == 0 and self._in_flight == 0, timeout)
 
     # ------------------------------------------------------------------ #
     # introspection / shutdown
@@ -172,6 +228,10 @@ class JobQueue:
     def depth(self) -> int:
         with self._lock:
             return self._size
+
+    def in_flight(self) -> int:
+        with self._lock:
+            return self._in_flight
 
     def tenant_depths(self) -> Dict[str, int]:
         with self._lock:

@@ -11,7 +11,8 @@ endpoint                        behaviour
                                 byte-identical to local :func:`repro.api.run`
 ``POST /v1/sweep``              a batch: ``202`` + job id (``?wait=1`` blocks)
 ``POST /v1/plan``               auto-planner job: ``202`` + job id (same)
-``GET  /v1/jobs/<id>``          job status document (result embedded when done)
+``GET  /v1/jobs/<id>``          job status document (result embedded when done;
+                                ``?wait=1`` blocks until the job finishes)
 ``GET  /v1/jobs/<id>/events``   NDJSON flight-recorder stream (``?follow=0``
                                 dumps and closes instead of tailing)
 ``GET  /healthz``               liveness + queue depth
@@ -28,6 +29,11 @@ against one shared warm :class:`repro.exec.ResultCache`, with a per-job
 flight-recorder event log under the spool directory — so journaling,
 chaos tolerance, and determinism carry over unchanged, and the events
 endpoint is just ``repro tail`` over the wire.
+
+No request waits on a timer: a job wakes its waiters when it finishes
+(:meth:`repro.serve.queue.Job.add_done_callback`, resolved on the event
+loop), and :meth:`SimulationService.drain` waits on the queue's in-flight
+count.
 
 Inline executions (``sweep_jobs <= 1``) are serialized across runner
 threads: the executor reseeds the *process-global* RNGs per scenario, and
@@ -51,7 +57,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.schema import (
     REQUEST_SCHEMA,
@@ -91,6 +97,11 @@ _REASONS = {
 MAX_HEAD_BYTES = 16 * 1024
 MAX_HEADERS = 100
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: How often a followed events stream re-reads the job's event file for
+#: intermediate events.  The job's end wakes the stream at once, so the
+#: tail flushes without waiting for a tick.
+EVENTS_TICK_S = 0.1
 
 
 @dataclass
@@ -152,7 +163,9 @@ class SimulationService:
         self.started_iso = now_iso()
         self._t0 = time.time()
         self._shed = 0
-        self._active = 0
+        #: guards the lifetime totals and the per-tenant counters, which
+        #: runner threads update concurrently
+        self._counts_lock = threading.Lock()
 
         registry = MetricsRegistry()
         self.registry = registry
@@ -232,11 +245,9 @@ class SimulationService:
 
     def _runner(self) -> None:
         while not self._stop.is_set():
-            job = self.queue.take(timeout=0.2)
+            job = self.queue.take()  # blocks; close() wakes it
             if job is None:
-                if self.queue.closed:
-                    return
-                continue
+                return  # closed and empty
             self.m_queue_depth.set(self.queue.depth())
             self._execute(job)
 
@@ -246,8 +257,7 @@ class SimulationService:
 
         job.state = "running"
         job.started = now_iso()
-        self._active += 1
-        self.m_active.set(self._active)
+        self.m_active.set(self.queue.in_flight())
         inline = self.config.sweep_jobs <= 1
         guard = self._inline_lock if inline else contextlib.nullcontext()
         try:
@@ -286,10 +296,12 @@ class SimulationService:
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
             job.finished = now_iso()
-            self._active -= 1
-            self.m_active.set(self._active)
             self._account(job)
-            job.done_event.set()
+            # out of the in-flight count before the waiters wake, so a
+            # client that has its answer sees the job no longer active
+            self.queue.done(job)
+            self.m_active.set(self.queue.in_flight())
+            job.finish()
 
     def _account(self, job: Job) -> None:
         """Reduce the job's flight-recorder log into per-tenant counters —
@@ -310,18 +322,19 @@ class SimulationService:
             )
         job.stats = stats
         tenant = job.tenant
-        if stats["cache_hits"]:
-            self.m_cache_hits.inc(stats["cache_hits"], tenant=tenant)
-        if stats["executed"]:
-            self.m_cache_misses.inc(stats["executed"], tenant=tenant)
-        if stats["total"]:
-            self.m_scenarios.inc(stats["total"], tenant=tenant)
-        self._hits_total += stats["cache_hits"]
-        self._exec_total += stats["executed"]
-        served = self._hits_total + self._exec_total
-        if served:
-            self.m_hit_rate.set(self._hits_total / served)
-        self.m_jobs.inc(tenant=tenant, kind=job.kind, outcome=job.state)
+        with self._counts_lock:
+            if stats["cache_hits"]:
+                self.m_cache_hits.inc(stats["cache_hits"], tenant=tenant)
+            if stats["executed"]:
+                self.m_cache_misses.inc(stats["executed"], tenant=tenant)
+            if stats["total"]:
+                self.m_scenarios.inc(stats["total"], tenant=tenant)
+            self._hits_total += stats["cache_hits"]
+            self._exec_total += stats["executed"]
+            served = self._hits_total + self._exec_total
+            if served:
+                self.m_hit_rate.set(self._hits_total / served)
+            self.m_jobs.inc(tenant=tenant, kind=job.kind, outcome=job.state)
 
     # ------------------------------------------------------------------ #
     # drain / shutdown
@@ -335,16 +348,13 @@ class SimulationService:
 
         timeout = self.config.drain_timeout if timeout is None else timeout
         self.draining.set()
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            if self.queue.depth() == 0 and self._active == 0:
-                break
-            time.sleep(0.05)
-        self.queue.close()
+        deadline = time.monotonic() + timeout
+        self.queue.wait_idle(timeout)
         self._stop.set()
+        self.queue.close()
         for thread in self._threads:
-            thread.join(timeout=max(0.0, deadline - time.time()) + 1.0)
-        with self._jobs_lock:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()) + 1.0)
+        with self._jobs_lock, self._counts_lock:
             unfinished = sum(
                 1 for job in self.jobs.values()
                 if job.state in ("queued", "running")
@@ -429,7 +439,7 @@ class SimulationService:
                 "ok": True,
                 "draining": self.draining.is_set(),
                 "queue_depth": self.queue.depth(),
-                "active_jobs": self._active,
+                "active_jobs": self.queue.in_flight(),
                 "jobs": len(self.jobs),
                 "started": self.started_iso,
             }))
@@ -453,6 +463,10 @@ class SimulationService:
                 await self._stream_events(writer, job, follow)
                 return 200, True
             job = self._job_or_404(rest)
+            if _flag(query, "wait"):
+                # long poll: answer when the job finishes, or with its
+                # current state once request_timeout has passed
+                await self._await_job(job)
             _write_response(writer, 200, _json_bytes(job.status_document()))
             return 200, False
         raise _HttpError(404, f"no route for {method} {path}")
@@ -485,7 +499,7 @@ class SimulationService:
         except QueueRejection as exc:
             self.m_shed.inc(tenant=tenant, reason=type(exc).__name__)
             raise _HttpError(429, str(exc), retry_after=1)
-        wait = kind == "run" or query.get("wait", "0") in ("1", "true")
+        wait = kind == "run" or _flag(query, "wait")
         if not wait:
             _write_response(writer, 202, _json_bytes({
                 "id": job.id,
@@ -494,7 +508,11 @@ class SimulationService:
                 "events": f"/v1/jobs/{job.id}/events",
             }))
             return 202, False
-        await self._await_job(job)
+        if not await self._await_job(job):
+            raise _HttpError(
+                500, f"job {job.id} exceeded request_timeout "
+                     f"({self.config.request_timeout:.0f}s); poll "
+                     f"/v1/jobs/{job.id}")
         if job.state == "failed":
             raise _HttpError(500, f"job {job.id} failed: {job.error}")
         if kind == "run":
@@ -506,15 +524,17 @@ class SimulationService:
             _write_response(writer, 200, _json_bytes(job.status_document()))
         return 200, False
 
-    async def _await_job(self, job: Job) -> None:
-        deadline = time.time() + self.config.request_timeout
-        while not job.done_event.is_set():
-            if time.time() > deadline:
-                raise _HttpError(
-                    500, f"job {job.id} exceeded request_timeout "
-                         f"({self.config.request_timeout:.0f}s); poll "
-                         f"/v1/jobs/{job.id}")
-            await asyncio.sleep(0.02)
+    async def _await_job(self, job: Job) -> bool:
+        """Wait until ``job`` finishes or ``request_timeout`` passes;
+        returns whether it finished."""
+        if job.done_event.is_set():
+            return True
+        with _completion(job) as finished:
+            try:
+                await asyncio.wait_for(finished, self.config.request_timeout)
+            except asyncio.TimeoutError:
+                return False
+        return True
 
     async def _stream_events(self, writer: asyncio.StreamWriter, job: Job,
                              follow: bool) -> None:
@@ -526,24 +546,57 @@ class SimulationService:
         await writer.drain()
         offset = 0
         pending = b""
-        while True:
-            finished = job.done_event.is_set()
-            if job.events_path and os.path.exists(job.events_path):
-                with open(job.events_path, "rb") as fh:
-                    fh.seek(offset)
-                    chunk = fh.read()
-                if chunk:
-                    offset += len(chunk)
-                    pending += chunk
-                    lines = pending.split(b"\n")
-                    pending = lines.pop()  # partial final line, if any
-                    out = b"".join(line + b"\n" for line in lines if line.strip())
-                    if out:
-                        writer.write(out)
-                        await writer.drain()
-            if finished or not follow:
-                break
-            await asyncio.sleep(0.1)
+        with _completion(job) as finished:
+            while True:
+                done = job.done_event.is_set()
+                if job.events_path and os.path.exists(job.events_path):
+                    with open(job.events_path, "rb") as fh:
+                        fh.seek(offset)
+                        chunk = fh.read()
+                    if chunk:
+                        offset += len(chunk)
+                        pending += chunk
+                        lines = pending.split(b"\n")
+                        pending = lines.pop()  # partial final line, if any
+                        out = b"".join(line + b"\n" for line in lines if line.strip())
+                        if out:
+                            writer.write(out)
+                            await writer.drain()
+                if done or not follow:
+                    break
+                await asyncio.wait({finished}, timeout=EVENTS_TICK_S)
+
+
+@contextlib.contextmanager
+def _completion(job: Job) -> Iterator["asyncio.Future[None]"]:
+    """A future on the running loop that resolves once ``job`` finishes.
+
+    The job calls back from its runner thread, so the callback only hands
+    the resolution to the loop, and never raises there: a closed loop is
+    ignored, and on the loop a future that is already done or cancelled
+    (the waiter timed out or went away) is left alone.  The waiter
+    deregisters on the way out, so a long job gathers no dead callbacks.
+    """
+    loop = asyncio.get_running_loop()
+    finished: "asyncio.Future[None]" = loop.create_future()
+
+    def resolve() -> None:
+        if not finished.done():
+            finished.set_result(None)
+
+    def wake(_job: Job) -> None:
+        with contextlib.suppress(RuntimeError):  # the loop has closed
+            loop.call_soon_threadsafe(resolve)
+
+    job.add_done_callback(wake)
+    try:
+        yield finished
+    finally:
+        job.remove_done_callback(wake)
+
+
+def _flag(query: Mapping[str, str], name: str) -> bool:
+    return query.get(name, "0") in ("1", "true")
 
 
 # ---------------------------------------------------------------------- #

@@ -41,6 +41,13 @@ def test_rejects_inconsistent_degrees():
         tiny(tensor=3)
 
 
+def test_rejects_micro_batch_below_one():
+    # with a zero micro batch the derived batch divides by zero
+    for size in (0, -1):
+        with pytest.raises(ConfigurationError, match="micro_batch_size"):
+            tiny(micro_batch_size=size, global_batch_size=8)
+
+
 def test_framework_presets_cover_paper_variants():
     for name in ("holmes", "holmes-full", "holmes-base", "holmes-no-sap",
                  "holmes-no-overlap", "megatron-lm"):

@@ -87,6 +87,28 @@ class TestRequestDocuments:
         with pytest.raises(SchemaError, match="scenarios\\[0\\]"):
             validate_request(doc)
 
+    @pytest.mark.parametrize("kind,options", [
+        ("run", {"priority": "high"}),
+        ("run", {"priority": 1.5}),
+        ("run", {"priority": True}),
+        ("sweep", {"fidelity": "warp"}),
+        ("sweep", {"fidelity": None}),
+        ("plan", {"budget": 0}),
+        ("plan", {"top_k": "4"}),
+    ])
+    def test_option_values_checked(self, kind, options):
+        doc = build_request(kind, [SCENARIO])
+        doc["options"] = options
+        with pytest.raises(SchemaError, match=next(iter(options))):
+            validate_request(doc)
+
+    def test_scenario_configuration_error_is_schema_error(self):
+        canonical = SCENARIO.canonical()
+        canonical["fidelity"] = 7
+        doc = build_request("run", [canonical])
+        with pytest.raises(SchemaError, match="scenarios\\[0\\]"):
+            validate_request(doc)
+
     def test_empty_scenarios_rejected(self):
         with pytest.raises(SchemaError, match="no scenarios"):
             build_request("sweep", [])

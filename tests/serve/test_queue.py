@@ -130,6 +130,107 @@ class TestTakeAndClose:
         assert not thread.is_alive()
         assert got == [None]
 
+    def test_close_wakes_takers_without_a_timeout(self):
+        q = JobQueue()
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(q.take()))
+                   for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        q.close()
+        for thread in threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert got == [None, None, None]
+
+
+class TestInFlight:
+    def test_take_and_done_balance(self):
+        q = JobQueue()
+        q.submit(job("a"))
+        q.submit(job("b"))
+        first = q.take(0)
+        assert q.in_flight() == 1 and q.depth() == 1
+        second = q.take(0)
+        assert q.in_flight() == 2
+        q.done(first)
+        q.done(second)
+        assert q.in_flight() == 0
+
+    def test_wait_idle_covers_queued_and_taken_jobs(self):
+        q = JobQueue()
+        assert q.wait_idle(0)
+        queued = q.submit(job("a"))
+        assert not q.wait_idle(0.01)
+        assert q.take(0) is queued
+        # taken but not done: still busy, though the queue is empty
+        assert q.depth() == 0 and not q.wait_idle(0.01)
+        q.done(queued)
+        assert q.wait_idle(0)
+
+    def test_done_wakes_an_idle_waiter(self):
+        q = JobQueue()
+        taken = q.submit(job("a"))
+        q.take(0)
+        idle = []
+        thread = threading.Thread(target=lambda: idle.append(q.wait_idle(30)))
+        thread.start()
+        q.done(taken)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive() and idle == [True]
+
+
+class TestDoneCallbacks:
+    def test_callback_runs_once_at_finish(self):
+        j = job("a")
+        seen = []
+        j.add_done_callback(seen.append)
+        assert seen == []
+        j.finish()
+        assert seen == [j] and j.done_event.is_set()
+        j.finish()
+        assert seen == [j]
+
+    def test_finished_job_calls_back_at_once(self):
+        j = job("a")
+        j.finish()
+        seen = []
+        j.add_done_callback(seen.append)
+        assert seen == [j]
+
+    def test_removed_callback_is_not_called(self):
+        j = job("a")
+        seen = []
+        j.add_done_callback(seen.append)
+        j.remove_done_callback(seen.append)
+        j.remove_done_callback(seen.append)  # absent: a no-op
+        j.finish()
+        assert seen == []
+
+    def test_registration_racing_finish_is_never_lost(self):
+        # every waiter registered around a concurrent finish() is called
+        # back exactly once, whichever side of it it landed on
+        for _ in range(50):
+            j = job("a")
+            seen = []
+            barrier = threading.Barrier(5)
+
+            def register():
+                barrier.wait()
+                j.add_done_callback(seen.append)
+
+            def finish():
+                barrier.wait()
+                j.finish()
+
+            threads = [threading.Thread(target=register) for _ in range(4)]
+            threads.append(threading.Thread(target=finish))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=5.0)
+            assert seen == [j] * 4
+
 
 class TestIntrospection:
     def test_depths(self):
