@@ -5,9 +5,10 @@ rank runs a *program* — the per-step send/recv schedule of the algorithm —
 over the same :mod:`repro.collectives.p2p` path pipeline parallelism uses.
 Each NIC-crossing step chunk acquires the sender's per-node NIC transmit
 resource and re-resolves its transport through the health overlay;
-intra-node ring hops, which touch neither, are computed exactly within a
-fused ring pass (:class:`_RingPass`) instead of as events.  So the paper's
-headline phenomena fall out of the event kernel instead of being asserted:
+intra-node ring hops, which touch neither, and the steps of a NIC edge a
+pass provably holds alone are computed exactly within a fused ring pass
+(:class:`_RingPass`) instead of as events.  So the paper's headline
+phenomena fall out of the event kernel instead of being asserted:
 
 - **slowest-link dominance** (Holmes §2, Table 1): a node-contiguous ring
   chains every chunk through the slowest inter-node edge, so one degraded
@@ -34,14 +35,16 @@ lets COMPUTE shadow it, which is how hidden communication is *measured*.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
 
 from repro.collectives.p2p import ChannelRegistry, Message, recv, send
 from repro.errors import CommunicatorError
 from repro.network.contention import FidelityPolicy
 from repro.network.fabric import Fabric
+from repro.network.transport import nic_family_for
 from repro.simcore.event import SimEvent
 from repro.simcore.process import Wait
 from repro.simcore.resource import Barrier
@@ -92,9 +95,17 @@ class OpWindow:
 
 
 #: Kinds of the step events a :class:`_RingPass` replays: a member's hop
-#: (step start or completion) on its own arrival, any other hop, and the
-#: end of an intra-node send.
-_JOIN, _HOP, _SENT = range(3)
+#: (step start or completion) on its own arrival, any other hop, the end of
+#: an intra-node send (which is also its chunk's arrival), the end of an
+#: owned NIC-crossing send, and the arrival of such a send's chunk.
+_JOIN, _HOP, _SENT, _DONE, _LANDED = range(5)
+
+#: Kinds of the trace spans a :class:`_RingPass` holds per member.
+_SEND_SPAN, _WAIT_SPAN, _NIC_SPAN = range(3)
+
+#: Ring-pass phases whose NIC-crossing edges may be owned: the plain ring
+#: ops' passes, over the rings the engine classified.
+_OWNABLE_PHASES = ("rs", "ag")
 
 
 class _RingPass:
@@ -110,31 +121,44 @@ class _RingPass:
 
     An intra-node hop touches no NIC, uplink or health state, so its ``E``
     (which is also its ``A``) is computed with exactly that float
-    arithmetic instead of events, its edge priced once per pass.  A
-    NIC-crossing step stays a real :func:`~repro.collectives.p2p.send`
-    process started at ``S`` — NIC FIFO contention, fault re-resolution,
-    rebuild charges and uplinks are untouched — whose ``E`` is when the
-    process ends and whose ``A`` is when the send delivers the chunk (to
-    the pass itself, not through a one-message channel).
+    arithmetic instead of events, its edge priced once per pass.
+
+    A NIC-crossing edge is computed the same way while the pass *owns* it:
+    ``E = S + occupancy`` and ``A = E + latency``, as the send's NIC hold
+    and delivery would time them, priced once when ownership starts.  The
+    ownership test (:meth:`_owns`) runs at a step start, in the event at
+    that time: the edge must be statically ownable
+    (:func:`~repro.network.contention.ownable_ring_edges`: no faults or
+    stragglers, no uplink, no other ring and no overlapped bucket pass on
+    the NIC, blocking p2p from ring members only), every pipeline sender
+    on the NIC must have joined this pass, no rebuild may be owed and the
+    NIC must be idle.  Then nothing else can transmit through the NIC
+    until the member's last step ends, and every later step of the edge is
+    computed too.  An edge that fails the test sends that step as a real
+    :func:`~repro.collectives.p2p.send` process started at ``S`` — NIC FIFO
+    contention, fault re-resolution, rebuild charges and uplinks are
+    untouched — whose ``E`` is when the process ends and whose ``A`` is
+    when the send delivers the chunk (to the pass itself, not through a
+    one-message channel); the test is retried at its next step.
     Actions the event kernel must see (a NIC send starting, a member
     completing) happen at their computed times: inside the current event
     when that is now, else from an event scheduled at that exact time.
     Each member waits on one event, fired at its completion ``R(i, d - 2)``.
 
-    :meth:`_run` replays the intra-node steps in the order the per-step
+    :meth:`_run` replays the computed steps in the order the per-step
     events had in the kernel, so members finishing at the same instant
     leave in that order too — it decides who reaches a shared NIC first
     (as the members of the hierarchical all-reduce's intra-node phases do).
 
-    Trace spans of arithmetic steps are held per member until it completes
+    Trace spans of computed steps are held per member until it completes
     (or :meth:`CollectiveExecutor.settle` flushes the ones a stopped run
     reached), so a traced run records the same spans as a step-by-step one.
     """
 
     __slots__ = (
         "executor", "key", "ring", "index", "chunk", "messages", "tag",
-        "phase", "step_time", "counters", "step", "sent", "inbox",
-        "done", "spans", "remaining", "waiting", "order",
+        "phase", "step_time", "tally", "step", "sent", "inbox",
+        "done", "spans", "remaining", "waiting", "order", "ownable", "owned",
     )
 
     def __init__(
@@ -158,7 +182,9 @@ class _RingPass:
         self.phase = phase
         #: per member: intra-node step time to its successor (None: NIC)
         self.step_time: List[Optional[float]] = [None] * d
-        self.counters: List[Optional[tuple]] = [None] * d
+        #: per member: what each intra-node step adds to the fabric's
+        #: counters, (counters, bytes, seconds); None without a registry
+        self.tally: List[Optional[tuple]] = [None] * d
         #: per member: current step and the end of its send in that step
         self.step = [0] * d
         self.sent: List[Optional[float]] = [None] * d
@@ -173,6 +199,14 @@ class _RingPass:
             [[] for _ in range(d)] if executor.trace is not None else None
         )
         self.remaining = d
+        #: sending member -> pipeline senders on its NIC, per ownable edge
+        self.ownable: Dict[int, FrozenSet[int]] = (
+            executor.ownable.get(tuple(ring), {})
+            if executor.ownable and phase in _OWNABLE_PHASES
+            else {}
+        )
+        #: per member owning its NIC edge: (occupancy, latency, tally, NIC)
+        self.owned: List[Optional[tuple]] = [None] * d
 
     def join(self, rank: int) -> SimEvent:
         """Member ``rank`` arrives now; returns its completion event."""
@@ -183,83 +217,191 @@ class _RingPass:
             self.step_time[i] = fabric.collective_step_time(
                 rank, nxt, self.chunk, self.messages
             )
-            self.counters[i] = fabric.collective_step_counters(rank, nxt)
+            self.tally[i] = self._tally(rank, nxt, self.step_time[i])
         done = self.done[i] = SimEvent(fabric.engine, "ring-pass")
-        self._run(fabric.engine.now, _JOIN, i)
+        self._run([(fabric.engine.now, next(self.order), _JOIN, i, 0)])
         return done
 
-    def _run(self, when: float, kind: int, first: int) -> None:
-        """Play the pass forward from member ``first``'s event ``kind`` at
-        ``when``, as far as known times allow.
+    def _run(self, heap: list) -> None:
+        """Play the pass forward from the events on ``heap`` — ``(time,
+        order, kind, member, step)`` — as far as known times allow.
 
         Replays the step-by-step events in their kernel order — by time,
         then in the order they were scheduled — on a private heap: member
-        hops (a step starting, or the member completing) and send ends.
-        A send end hands the chunk to a successor already waiting for it
-        before it lets its own member go on, as ``put`` then ``recv`` did.
+        hops (a step starting, or the member completing), send ends and
+        owned sends' chunk arrivals.  An intra-node send end hands the
+        chunk to a successor already waiting for it before it lets its own
+        member go on, as ``put`` then ``recv`` did.
         """
         executor = self.executor
-        now = executor.fabric.engine.now
+        fabric = executor.fabric
+        now = fabric.engine.now
         hooks = executor.hooks
         ring = self.ring
         last = len(ring) - 1
         step, sent, inbox, waiting = self.step, self.sent, self.inbox, self.waiting
-        step_time, counters, spans = self.step_time, self.counters, self.spans
+        step_time, tally, spans = self.step_time, self.tally, self.spans
+        owned = self.owned
         chunk = self.chunk
         order = self.order
-        heap = [(when, next(order), kind, first)]
-        while heap:
-            when, _, kind, i = heapq.heappop(heap)
-            s = step[i]
-            if kind != _SENT:
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heappushpop = heapq.heappushpop
+        #: steps to count, in start order (heap order is time order)
+        times = array("d")
+        tallies: List[tuple] = []
+        #: the last event the current one scheduled, pushed as the next is
+        #: popped (at once, when it is itself the next)
+        pending: Optional[tuple] = None
+        while True:
+            if pending is not None:
+                entry = heappushpop(heap, pending)
+                pending = None
+            elif heap:
+                entry = heappop(heap)
+            else:
+                break
+            when, _, kind, i, s = entry
+            if kind <= _HOP:
                 if s == last:
                     self._finish(i, when, now)
                     continue
                 if hooks is not None:
                     hooks.on_collective_step(self.tag, ring[i], chunk)
                 t = step_time[i]
-                if t is None:
-                    self._send(i, s, when, now, kind == _JOIN)
+                if t is not None:
+                    end = sent[i] = when + t
+                    if s and tally[i] is not None:
+                        times.append(when)
+                        tallies.append(tally[i])
+                    if spans is not None:
+                        spans[i].append((_SEND_SPAN, s, when, end))
+                    pending = (end, next(order), _SENT, i, s)
                     continue
-                end = sent[i] = when + t
-                if s and counters[i] is not None:
-                    counters[i][0].inc(chunk)
-                    counters[i][1].inc(t)
-                if spans is not None:
-                    spans[i].append((True, s, when, end))
-                heapq.heappush(heap, (end, next(order), _SENT, i))
+                own = owned[i]
+                if own is None:
+                    if when > now or not self._owns(i):
+                        self._send(i, s, when, now, kind == _JOIN)
+                        continue
+                    own = self._own(i)
+                elif own[2] is not None:
+                    times.append(when)
+                    tallies.append(own[2])
+                self._owned_step(i, s, when, own, heap)
                 continue
-            j = i + 1 if i < last else 0
-            if waiting[j] == s:
-                self._received(j, s, when, heap)
-            else:
-                inbox[j][s] = when
+            if kind != _DONE:
+                # the chunk reaches the successor (an intra-node send's end
+                # is also its arrival)
+                j = i + 1 if i < last else 0
+                if waiting[j] == s:
+                    end = sent[j]
+                    resume = when if when > end else end
+                    if spans is not None:
+                        spans[j].append((_WAIT_SPAN, s, end, resume))
+                    waiting[j] = None
+                    step[j] = s + 1
+                    pending = (resume, next(order), _HOP, j, s + 1)
+                else:
+                    inbox[j][s] = when
+                if kind == _LANDED:
+                    continue
+            # the member's own send is done: it goes on once its
+            # predecessor's chunk is in, recording the wait
             arrival = inbox[i].pop(s, None)
             if arrival is None:
                 waiting[i] = s
             else:
-                self._received(i, s, arrival, heap)
+                end = sent[i]
+                resume = arrival if arrival > end else end
+                if spans is not None:
+                    spans[i].append((_WAIT_SPAN, s, end, resume))
+                waiting[i] = None
+                step[i] = s + 1
+                if pending is not None:
+                    heappush(heap, pending)
+                pending = (resume, next(order), _HOP, i, s + 1)
+        if times:
+            fabric.count_steps_at(times, tallies)
 
-    def _received(self, i: int, s: int, arrival: float, heap: list) -> None:
-        """Member ``i``, its step-``s`` send done, has the predecessor's
-        step-``s`` chunk (arrived at ``arrival``): it goes on when both are
-        in, recording the wait."""
-        end = self.sent[i]
-        resume = arrival if arrival > end else end
+    def _owns(self, i: int) -> bool:
+        """The ownership test for member ``i``'s NIC-crossing edge, at the
+        start of one of its steps (now): statically ownable, every pipeline
+        sender on the NIC joined, no rebuild owed, the NIC idle and owned by
+        no other pass."""
+        rank = self.ring[i]
+        senders = self.ownable.get(rank)
+        if senders is None:
+            return False
+        done, index = self.done, self.index
+        if any(done[index[r]] is None for r in senders):
+            return False
+        fabric = self.executor.fabric
+        nxt = self.ring[(i + 1) % len(self.ring)]
+        if fabric.pair_rebuild_owed(rank, nxt):
+            return False
+        nic = fabric.nic_tx_resource(
+            rank, nic_family_for(fabric.transport(rank, nxt).kind)
+        )
+        return nic.in_use == 0 and nic not in self.executor._owners
+
+    def _own(self, i: int) -> tuple:
+        """Member ``i`` takes its NIC edge over, pricing it (and publishing
+        the step about to run) once."""
+        fabric = self.executor.fabric
+        rank = self.ring[i]
+        nxt = self.ring[(i + 1) % len(self.ring)]
+        transport = fabric.transport(rank, nxt)
+        nic = fabric.nic_tx_resource(rank, nic_family_for(transport.kind))
+        occupancy = fabric.collective_step_occupancy(
+            rank, nxt, self.chunk, self.messages
+        )
+        own = self.owned[i] = (
+            occupancy,
+            transport.latency,
+            self._tally(rank, nxt, occupancy),
+            nic,
+        )
+        self.executor._owners[nic] = self
+        return own
+
+    def _tally(self, rank: int, nxt: int, seconds: float) -> Optional[tuple]:
+        """What one step over the edge adds to the fabric's counters, or
+        ``None`` without a registry."""
+        counters = self.executor.fabric.collective_step_counters(rank, nxt)
+        return None if counters is None else (counters, self.chunk, seconds)
+
+    def _owned_step(self, i: int, s: int, begin: float, own: tuple, heap: list) -> None:
+        """Member ``i``'s owned step ``s``, starting at ``begin``: its NIC
+        hold ends at ``E``, its chunk lands ``latency`` later."""
+        end = self.sent[i] = begin + own[0]
+        hooks = self.executor.hooks
+        if hooks is not None:
+            hooks.on_resource_claim(own[3], begin, end)
         if self.spans is not None:
-            self.spans[i].append((False, s, end, resume))
-        self.waiting[i] = None
-        self.step[i] = s + 1
-        heapq.heappush(heap, (resume, next(self.order), _HOP, i))
+            self.spans[i].append((_NIC_SPAN, s, begin, end))
+            self.spans[i].append((_SEND_SPAN, s, begin, end))
+        heapq.heappush(heap, (end, next(self.order), _DONE, i, s))
+        heapq.heappush(heap, (end + own[1], next(self.order), _LANDED, i, s))
 
     def _send(self, i: int, s: int, begin: float, now: float, inline: bool) -> None:
         """Start member ``i``'s NIC-crossing step ``s`` at time ``begin``."""
         if begin > now:
             self.executor.fabric.engine.call_at(
-                begin, lambda: self._start_send(i, s, False)
+                begin, lambda: self._begin_nic_step(i, s)
             )
         else:
             self._start_send(i, s, inline)
+
+    def _begin_nic_step(self, i: int, s: int) -> None:
+        """Member ``i``'s NIC-crossing step ``s``, not owned so far, starts
+        now, in an event that did not start the member's program."""
+        if self._owns(i):
+            heap: list = []
+            self._owned_step(
+                i, s, self.executor.fabric.engine.now, self._own(i), heap
+            )
+            self._run(heap)
+        else:
+            self._start_send(i, s, False)
 
     def _start_send(self, i: int, s: int, inline: bool) -> None:
         engine = self.executor.fabric.engine
@@ -303,11 +445,11 @@ class _RingPass:
         end = self.sent[i]
         resume = arrival if arrival > end else end
         if self.spans is not None:
-            self.spans[i].append((False, s, end, resume))
+            self.spans[i].append((_WAIT_SPAN, s, end, resume))
         self.waiting[i] = None
         s = self.step[i] = s + 1
-        if resume == now and self.step_time[i] is None:
-            # a NIC-crossing member going on now: no intra-node step to
+        if resume == now and self.step_time[i] is None and self.owned[i] is None:
+            # a NIC-crossing member going on now: no computed step to
             # replay, so act as :meth:`_run` would, without its heap
             if s == len(self.ring) - 1:
                 self._complete(i)
@@ -315,9 +457,9 @@ class _RingPass:
             hooks = self.executor.hooks
             if hooks is not None:
                 hooks.on_collective_step(self.tag, self.ring[i], self.chunk)
-            self._start_send(i, s, False)
+            self._begin_nic_step(i, s)
         else:
-            self._run(resume, _HOP, i)
+            self._run([(resume, next(self.order), _HOP, i, s)])
 
     def _finish(self, i: int, end: float, now: float) -> None:
         if end > now:
@@ -329,6 +471,9 @@ class _RingPass:
         if self.spans is not None:
             self._record(i, self.spans[i])
             self.spans[i] = []
+        own = self.owned[i]
+        if own is not None and self.executor._owners.get(own[3]) is self:
+            del self.executor._owners[own[3]]
         self.remaining -= 1
         if self.remaining == 0:
             del self.executor._passes[self.key]
@@ -347,21 +492,31 @@ class _RingPass:
     def _record(self, i: int, held: list) -> None:
         trace = self.executor.trace
         assert trace is not None
+        fabric = self.executor.fabric
         ring = self.ring
         rank = ring[i]
         nxt = ring[(i + 1) % len(ring)]
         prev = ring[i - 1]
         prefix = f"{self.tag}:{self.phase}"
-        for is_send, s, begin, end in held:
-            if is_send:
+        for kind, s, begin, end in held:
+            if kind == _SEND_SPAN:
                 trace.record(
                     rank, "p2p", f"send:{prefix}{s}", begin, end, self.chunk,
                     dst=nxt, coll=1,
                 )
-            else:
+            elif kind == _WAIT_SPAN:
                 trace.record(
                     rank, "idle", f"recv-wait:{prefix}{s}", begin, end,
                     self.chunk, src=prev,
+                )
+            else:
+                topo = fabric.topology
+                trace.record(
+                    rank, "nic", f"nic-tx:{prefix}{s}", begin, end, self.chunk,
+                    dst=nxt,
+                    family=nic_family_for(fabric.transport(rank, nxt).kind).value,
+                    src_node=topo.device(rank).node_global,
+                    dst_node=topo.device(nxt).node_global,
                 )
 
 
@@ -400,6 +555,12 @@ class CollectiveExecutor:
         self._nodes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         #: in-flight ring passes by (op tag, phase, first ring member)
         self._passes: Dict[tuple, "_RingPass"] = {}
+        #: per ring, its statically ownable NIC edges (sending member ->
+        #: pipeline senders on its NIC); set by the engine, see
+        #: :func:`~repro.network.contention.ownable_ring_edges`
+        self.ownable: Dict[Tuple[int, ...], Dict[int, FrozenSet[int]]] = {}
+        #: NIC transmit resources a ring pass currently owns
+        self._owners: Dict[object, "_RingPass"] = {}
 
     # ------------------------------------------------------------------ #
     # ring construction
@@ -586,11 +747,15 @@ class CollectiveExecutor:
         yield Wait(ring_pass.join(rank))
 
     def settle(self) -> None:
-        """Record the trace spans of ring steps that ended by now but whose
-        members never completed — a run stopped early (crash abort) keeps
-        exactly the spans a step-by-step execution would have recorded."""
+        """Once the run has stopped: record the trace spans of ring steps
+        that ended by now but whose members never completed, and publish
+        the computed steps that started by now — a run stopped early (crash
+        abort) keeps exactly the spans and counts a step-by-step execution
+        would have recorded."""
+        now = self.fabric.engine.now
         for ring_pass in self._passes.values():
-            ring_pass.flush_spans(self.fabric.engine.now)
+            ring_pass.flush_spans(now)
+        self.fabric.flush_step_counts(now)
 
     def _tree_broadcast(
         self, ring: Tuple[int, ...], rank: int, nbytes: float, tag: str

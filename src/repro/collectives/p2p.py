@@ -81,29 +81,54 @@ def _deliver(
     payload: Any = None,
     trace: Optional[TraceRecorder] = None,
     deliver: Optional[Callable[[Message], None]] = None,
-) -> Generator:
-    """Network-side continuation of a send: store-and-forward through the
-    inter-cluster uplink (if any), then the propagation latency, then
-    delivery into the destination channel (or to ``deliver``).  Runs
-    asynchronously — the *sender* only blocks until bytes leave its NIC."""
+) -> None:
+    """Network-side continuation of a send, started as bytes leave the
+    sender's NIC: store-and-forward through the inter-cluster uplink (if
+    any), then the propagation latency, then delivery into the destination
+    channel (or to ``deliver``).  Runs asynchronously as a chain of
+    scheduled callbacks — the *sender* only blocks until bytes leave its
+    NIC — with one event wherever a delivery process had one (its start,
+    an uplink grant, each wait), so every event keeps its place in the
+    kernel's order."""
+    engine = fabric.engine
     uplink = fabric.uplink_resource(src, dst)
-    if uplink is not None:
-        yield Wait(uplink.acquire())
-        held = fabric.engine.now
-        yield Timeout(fabric.uplink_occupancy(nbytes))
-        uplink.release()
-        if trace is not None and trace.enabled:
-            trace.record(
-                src, "uplink", f"uplink:{tag}", held, fabric.engine.now, nbytes,
-                src_cluster=fabric.topology.device(src).cluster_id,
-                dst_cluster=fabric.topology.device(dst).cluster_id,
+
+    def land() -> None:
+        message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
+        if deliver is None:
+            channels.channel(src, dst, tag).store.put(message)
+        else:
+            deliver(message)
+
+    def hold() -> None:
+        held = engine.now
+
+        def leave() -> None:
+            uplink.release()
+            if trace is not None:
+                trace.record(
+                    src, "uplink", f"uplink:{tag}", held, engine.now, nbytes,
+                    src_cluster=fabric.topology.device(src).cluster_id,
+                    dst_cluster=fabric.topology.device(dst).cluster_id,
+                )
+            engine.call_at(engine.now + latency, land)
+
+        engine.call_at(held + fabric.uplink_occupancy(nbytes), leave)
+
+    def start() -> None:
+        if uplink is None:
+            engine.call_at(engine.now + latency, land)
+        elif uplink.try_acquire():
+            if engine.quiet():
+                hold()
+            else:
+                engine.call_at(engine.now, hold)
+        else:
+            uplink.acquire().add_callback(
+                lambda _granted: engine.call_at(engine.now, hold)
             )
-    yield Timeout(latency)
-    message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
-    if deliver is None:
-        channels.channel(src, dst, tag).store.put(message)
-    else:
-        deliver(message)
+
+    engine.call_at(engine.now, start)
 
 
 def send(
@@ -192,7 +217,8 @@ def send(
         else:
             family = nic_family_for(transport.kind)
             nic = fabric.nic_tx_resource(src, family)
-            yield Wait(nic.acquire())
+            if not (engine.quiet() and nic.try_acquire()):
+                yield Wait(nic.acquire())
             occupied = engine.now
             if collective:
                 occupancy = fabric.collective_step_occupancy(
@@ -209,13 +235,9 @@ def send(
                     src_node=fabric.topology.device(src).node_global,
                     dst_node=fabric.topology.device(dst).node_global,
                 )
-        engine.process(
-            _deliver(
-                fabric, channels, src, dst, tag, nbytes,
-                transport.latency, payload, trace if tracing else None,
-                deliver,
-            ),
-            name=f"deliver[{src}->{dst}:{tag}]",
+        _deliver(
+            fabric, channels, src, dst, tag, nbytes, transport.latency,
+            payload, trace if tracing else None, deliver,
         )
     if tracing:
         if collective:
@@ -242,12 +264,16 @@ def recv(
     receive-side pipeline bubble) — also the anchor the Chrome-trace
     exporter hangs p2p flow arrows on.
     """
-    chan = channels.channel(src, dst, tag)
+    store = channels.channel(src, dst, tag).store
     tracing = trace is not None and trace.enabled
-    start = chan.store.engine.now if tracing else 0.0
-    msg = yield Wait(chan.store.get())
+    start = store.engine.now if tracing else 0.0
+    if len(store) and store.engine.quiet():
+        # already queued, and nothing else due now: taken at once
+        msg = store.get_nowait()
+    else:
+        msg = yield Wait(store.get())
     if tracing:
-        engine = chan.store.engine
+        engine = store.engine
         trace.record(
             dst, "idle", f"recv-wait:{tag}", start, engine.now, msg.nbytes,
             src=src,

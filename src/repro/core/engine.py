@@ -38,7 +38,11 @@ from repro.errors import ConfigurationError, FidelityError, SimulationError
 from repro.model.config import GPTConfig
 from repro.model.layers import LayerKind, LayerSpec, build_layer_stack
 from repro.model.memory import activation_message_bytes, tp_allreduce_bytes
-from repro.network.contention import FIDELITY_MODES, FidelityPolicy
+from repro.network.contention import (
+    FIDELITY_MODES,
+    FidelityPolicy,
+    ownable_ring_edges,
+)
 from repro.network.costmodel import CostModelConfig
 from repro.network.fabric import Fabric
 from repro.obs.attribution import AttributionReport, Category, attribute_iteration
@@ -494,46 +498,55 @@ class TrainingSimulation:
                 bucket_params=bucket_params,
             ))
 
-        # Tiered fidelity: with every ring and pipeline edge known, the
-        # policy classifies — statically, before any event is issued —
-        # which spans the closed-form oracle may price as one aggregate
-        # event and which must run step-by-step.  "analytic" raises a
-        # FidelityError here when any span is contended.
+        # Every ring and pipeline edge, for the static span classifiers.
+        rings: List[Tuple[int, ...]] = [
+            meta.ring for meta in group_meta if len(meta.ring) > 1
+        ]
+        p2p_edges: set = set()
+        seen_pp: set = set()
+        for phys in range(topo.world_size):
+            logical = plan.placement.logical(phys)
+            stage = plan.layout.stage_of(logical)
+            pp_logical = plan.layout.pp_group_of(logical)
+            pp_phys = [plan.placement.physical(r) for r in pp_logical]
+            for chunk in range(self.num_chunks):
+                nxt = self._next_virtual(stage, chunk)
+                if nxt is not None:
+                    p2p_edges.add((phys, pp_phys[nxt[0]]))
+                prev = self._prev_virtual(stage, chunk)
+                if prev is not None:
+                    p2p_edges.add((phys, pp_phys[prev[0]]))
+            if (
+                self.tie_embeddings
+                and parallel.pipeline > 1
+                and stage == 0
+                and tuple(pp_phys) not in seen_pp
+            ):
+                seen_pp.add(tuple(pp_phys))
+                rings.append(
+                    tuple(executor.ring_order([pp_phys[0], pp_phys[-1]]))
+                )
+        classified = dict(
+            has_faults=injector is not None,
+            has_stragglers=bool(self.stragglers),
+            blocking_p2p=self.blocking_p2p,
+            has_overlap=bucket_plan.has_overlap,
+        )
+        # Executed ring passes price the NIC-crossing edges they provably
+        # hold alone without a send event per step; this is the static
+        # half of that test (the rest is decided per pass at run time).
+        executor.ownable = ownable_ring_edges(
+            fabric, rings, sorted(p2p_edges), **classified
+        )
+
+        # Tiered fidelity: the policy classifies — statically, before any
+        # event is issued — which spans the closed-form oracle may price as
+        # one aggregate event and which must run step-by-step.  "analytic"
+        # raises a FidelityError here when any span is contended.
         policy: Optional[FidelityPolicy] = None
         if self.fidelity != "executed":
-            rings: List[Tuple[int, ...]] = [
-                meta.ring for meta in group_meta if len(meta.ring) > 1
-            ]
-            p2p_edges: set = set()
-            seen_pp: set = set()
-            for phys in range(topo.world_size):
-                logical = plan.placement.logical(phys)
-                stage = plan.layout.stage_of(logical)
-                pp_logical = plan.layout.pp_group_of(logical)
-                pp_phys = [plan.placement.physical(r) for r in pp_logical]
-                for chunk in range(self.num_chunks):
-                    nxt = self._next_virtual(stage, chunk)
-                    if nxt is not None:
-                        p2p_edges.add((phys, pp_phys[nxt[0]]))
-                    prev = self._prev_virtual(stage, chunk)
-                    if prev is not None:
-                        p2p_edges.add((phys, pp_phys[prev[0]]))
-                if (
-                    self.tie_embeddings
-                    and parallel.pipeline > 1
-                    and stage == 0
-                    and tuple(pp_phys) not in seen_pp
-                ):
-                    seen_pp.add(tuple(pp_phys))
-                    rings.append(
-                        tuple(executor.ring_order([pp_phys[0], pp_phys[-1]]))
-                    )
             policy = FidelityPolicy(
-                self.fidelity, fabric, rings, sorted(p2p_edges),
-                has_faults=injector is not None,
-                has_stragglers=bool(self.stragglers),
-                blocking_p2p=self.blocking_p2p,
-                has_overlap=bucket_plan.has_overlap,
+                self.fidelity, fabric, rings, sorted(p2p_edges), **classified
             )
             executor.fidelity = policy
 

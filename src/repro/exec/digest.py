@@ -28,7 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Code-version component of every cache key.  Convention:
 #: ``<paper-table-era>.<sequence>``; bump the sequence for any
 #: behaviour-affecting change (see module docstring).
-CODE_VERSION_SALT = "holmes-sim.6"
+#:
+#: ``.7``: executed ring passes price the NIC-crossing edges they own and
+#: hold those steps' ``nic-tx:``/``send:`` spans until the member
+#: completes, and a send's uplink leg runs as callbacks, so traced runs
+#: record their spans in another order and ``trace_digest`` changed.
+#: Every timing and every span is bit-identical to ``.6``.
+CODE_VERSION_SALT = "holmes-sim.7"
 
 
 def canonical_json(scenario: "Scenario") -> str:

@@ -21,7 +21,9 @@ given group touches.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import FidelityError
 from repro.hardware.topology import ClusterTopology
@@ -87,6 +89,89 @@ def uniform_concurrency(
 # --------------------------------------------------------------------- #
 # fidelity classification
 # --------------------------------------------------------------------- #
+
+
+class _NicMap:
+    """Who transmits through each NIC key ``(node, NIC family)``: the
+    node-contiguous rings (one crossing edge per node block) and the
+    pipeline p2p senders.  Shared by :class:`FidelityPolicy` and
+    :func:`ownable_ring_edges`."""
+
+    def __init__(
+        self,
+        fabric: "Fabric",
+        rings: Sequence[Tuple[int, ...]],
+        p2p_edges: Sequence[Tuple[int, int]],
+    ) -> None:
+        topo = fabric.topology
+        #: per ring: its NIC-crossing edges as (sender, receiver, key)
+        self.ring_edges: Dict[Tuple[int, ...], List[Tuple[int, int, tuple]]] = {}
+        self.ring_keys: Dict[Tuple[int, ...], Set[tuple]] = {}
+        self.key_rings: Dict[tuple, List[tuple]] = defaultdict(list)
+        for ring in rings:
+            if ring in self.ring_edges:
+                continue
+            crossing = []
+            d = len(ring)
+            for i, r in enumerate(ring):
+                nxt = ring[(i + 1) % d]
+                node_r = topo.device(r).node_global
+                if node_r != topo.device(nxt).node_global:
+                    family = nic_family_for(fabric.transport(r, nxt).kind)
+                    crossing.append((r, nxt, (node_r, family)))
+            self.ring_edges[ring] = crossing
+            keys = self.ring_keys[ring] = {key for _, _, key in crossing}
+            for key in keys:
+                self.key_rings[key].append(ring)
+        self.edge_key: Dict[Tuple[int, int], Optional[tuple]] = {}
+        self.key_senders: Dict[tuple, Set[int]] = defaultdict(set)
+        for src, dst in p2p_edges:
+            if topo.device(src).node_global == topo.device(dst).node_global:
+                self.edge_key[(src, dst)] = None
+            else:
+                key = (
+                    topo.device(src).node_global,
+                    nic_family_for(fabric.transport(src, dst).kind),
+                )
+                self.edge_key[(src, dst)] = key
+                self.key_senders[key].add(src)
+
+    def conflict(
+        self,
+        ring: Tuple[int, ...],
+        key: tuple,
+        *,
+        blocking_p2p: bool,
+        has_overlap: bool,
+    ) -> Optional[str]:
+        """Why ``ring`` may not count on NIC ``key`` as its own (``None``
+        when nothing else can transmit through it during the ring's
+        collective)."""
+        sharers = [r for r in self.key_rings[key] if r != ring]
+        if sharers:
+            return (
+                f"shares NIC (node {key[0]}, {key[1].value}) with "
+                f"ring {sharers[0]}"
+            )
+        senders = self.key_senders.get(key, set())
+        if senders:
+            if has_overlap:
+                return (
+                    f"background gradient buckets overlap pipeline p2p "
+                    f"on NIC (node {key[0]}, {key[1].value})"
+                )
+            if not blocking_p2p:
+                return (
+                    f"asynchronous p2p may still occupy NIC "
+                    f"(node {key[0]}, {key[1].value})"
+                )
+            outsiders = senders - set(ring)
+            if outsiders:
+                return (
+                    f"p2p sender rank {min(outsiders)} shares NIC "
+                    f"(node {key[0]}, {key[1].value})"
+                )
+        return None
 
 
 class FidelityPolicy:
@@ -155,28 +240,10 @@ class FidelityPolicy:
                 self._edge_analytic[edge] = False
             return
 
-        # NIC transmit keys ((node, family)) each ring / each sender uses.
-        ring_keys = {ring: self._ring_nic_keys(fabric, ring) for ring in rings_t}
-        key_rings: Dict[tuple, List[tuple]] = defaultdict(list)
-        for ring, keys in ring_keys.items():
-            for key in keys:
-                key_rings[key].append(ring)
-        edge_key: Dict[Tuple[int, int], Optional[tuple]] = {}
-        key_senders: Dict[tuple, Set[int]] = defaultdict(set)
-        for src, dst in edges:
-            if topo.device(src).node_global == topo.device(dst).node_global:
-                edge_key[(src, dst)] = None
-            else:
-                key = (
-                    topo.device(src).node_global,
-                    nic_family_for(fabric.transport(src, dst).kind),
-                )
-                edge_key[(src, dst)] = key
-                key_senders[key].add(src)
-
+        nics = _NicMap(fabric, rings_t, edges)
         for ring in rings_t:
             reason = self._classify_ring(
-                topo, ring, ring_keys[ring], key_rings, key_senders,
+                topo, ring, nics,
                 has_faults=has_faults, has_stragglers=has_stragglers,
                 blocking_p2p=blocking_p2p, has_overlap=has_overlap,
             )
@@ -185,7 +252,7 @@ class FidelityPolicy:
                 self.reasons.append(f"ring {ring}: {reason}")
         for edge in edges:
             reason = self._classify_edge(
-                topo, edge, edge_key[edge], key_rings, key_senders,
+                topo, edge, nics.edge_key[edge], nics,
                 has_faults=has_faults, has_stragglers=has_stragglers,
                 blocking_p2p=blocking_p2p,
             )
@@ -205,27 +272,11 @@ class FidelityPolicy:
     # classification rules
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _ring_nic_keys(fabric: "Fabric", ring: Tuple[int, ...]) -> Set[tuple]:
-        """The (node, NIC family) transmit keys a node-contiguous ring over
-        ``ring`` crosses (empty for a single-node ring)."""
-        topo = fabric.topology
-        keys: Set[tuple] = set()
-        d = len(ring)
-        for i, r in enumerate(ring):
-            nxt = ring[(i + 1) % d]
-            node_r = topo.device(r).node_global
-            if node_r != topo.device(nxt).node_global:
-                keys.add((node_r, nic_family_for(fabric.transport(r, nxt).kind)))
-        return keys
-
     def _classify_ring(
         self,
         topo: ClusterTopology,
         ring: Tuple[int, ...],
-        keys: Set[tuple],
-        key_rings: Dict[tuple, List[tuple]],
-        key_senders: Dict[tuple, Set[int]],
+        nics: "_NicMap",
         *,
         has_faults: bool,
         has_stragglers: bool,
@@ -238,35 +289,17 @@ class FidelityPolicy:
             return "fault plan active (windows may overlap the collective)"
         if has_stragglers:
             return "straggler skews active"
+        keys = nics.ring_keys[ring]
         if not keys:
             return None  # single-node ring: NVLink only, trivially exclusive
         if group_cluster_span(topo, ring) > 1:
             return "crosses the shared inter-cluster uplink"
         for key in keys:
-            sharers = [r for r in key_rings[key] if r != ring]
-            if sharers:
-                return (
-                    f"shares NIC (node {key[0]}, {key[1].value}) with "
-                    f"ring {sharers[0]}"
-                )
-            senders = key_senders.get(key, set())
-            if senders:
-                if has_overlap:
-                    return (
-                        f"background gradient buckets overlap pipeline p2p "
-                        f"on NIC (node {key[0]}, {key[1].value})"
-                    )
-                if not blocking_p2p:
-                    return (
-                        f"asynchronous p2p may still occupy NIC "
-                        f"(node {key[0]}, {key[1].value})"
-                    )
-                outsiders = senders - set(ring)
-                if outsiders:
-                    return (
-                        f"p2p sender rank {min(outsiders)} shares NIC "
-                        f"(node {key[0]}, {key[1].value})"
-                    )
+            reason = nics.conflict(
+                ring, key, blocking_p2p=blocking_p2p, has_overlap=has_overlap
+            )
+            if reason is not None:
+                return reason
         return None
 
     def _classify_edge(
@@ -274,8 +307,7 @@ class FidelityPolicy:
         topo: ClusterTopology,
         edge: Tuple[int, int],
         key: Optional[tuple],
-        key_rings: Dict[tuple, List[tuple]],
-        key_senders: Dict[tuple, Set[int]],
+        nics: "_NicMap",
         *,
         has_faults: bool,
         has_stragglers: bool,
@@ -292,12 +324,12 @@ class FidelityPolicy:
             return "crosses the shared inter-cluster uplink"
         if not blocking_p2p:
             return "asynchronous p2p sends may overlap on the sender NIC"
-        if key_rings.get(key):
+        if nics.key_rings.get(key):
             return (
                 f"collective ring crosses the sender NIC "
                 f"(node {key[0]}, {key[1].value})"
             )
-        if len(key_senders.get(key, set())) > 1:
+        if len(nics.key_senders.get(key, set())) > 1:
             return (
                 f"multiple sender ranks share NIC (node {key[0]}, "
                 f"{key[1].value})"
@@ -330,3 +362,50 @@ class FidelityPolicy:
             "edges_executed": sum(1 for _, a in edges if not a),
             "fallback_reasons": list(self.reasons),
         }
+
+
+def ownable_ring_edges(
+    fabric: "Fabric",
+    rings: Sequence[Sequence[int]],
+    p2p_edges: Sequence[Tuple[int, int]] = (),
+    *,
+    has_faults: bool = False,
+    has_stragglers: bool = False,
+    blocking_p2p: bool = True,
+    has_overlap: bool = False,
+) -> Dict[Tuple[int, ...], Dict[int, FrozenSet[int]]]:
+    """Static half of the executed tier's NIC-ownership rule.
+
+    An executed ring pass prices a NIC-crossing edge's steps itself, with
+    no send event per step, while it provably holds that edge's NIC alone
+    (see :class:`repro.collectives.executor._RingPass`).  This decides what
+    is known before any event is issued: per ring, the crossing edges
+    (keyed by their sending member) that may ever be owned, each mapped to
+    the pipeline p2p senders sharing its NIC — ring members all, each of
+    which must have joined the pass before ownership starts.
+
+    These are :class:`FidelityPolicy`'s ring rules, applied per edge: no
+    fault plan or straggler; the edge stays inside one cluster (the shared
+    inter-cluster uplink is another contender); no other ring crosses its
+    NIC; its NIC's pipeline senders are ring members and p2p is blocking.
+    Overlapped gradient buckets disqualify every edge, since a ring's
+    bucket passes run concurrently and queue on the same NICs.
+    """
+    if has_faults or has_stragglers or has_overlap:
+        return {}
+    topo = fabric.topology
+    rings_t = [tuple(r) for r in rings if len(tuple(r)) > 1]
+    nics = _NicMap(fabric, rings_t, [tuple(e) for e in p2p_edges])
+    out: Dict[Tuple[int, ...], Dict[int, FrozenSet[int]]] = {}
+    for ring, crossing in nics.ring_edges.items():
+        owned: Dict[int, FrozenSet[int]] = {}
+        for src, dst, key in crossing:
+            if topo.device(src).cluster_id != topo.device(dst).cluster_id:
+                continue
+            if nics.conflict(
+                ring, key, blocking_p2p=blocking_p2p, has_overlap=False
+            ) is None:
+                owned[src] = frozenset(nics.key_senders.get(key, ()))
+        if owned:
+            out[ring] = owned
+    return out

@@ -19,7 +19,9 @@ the health overlay, so resolution stays O(1) between faults.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import bisect
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CommunicatorError, TransportError
 from repro.hardware.nic import NICType
@@ -117,6 +119,11 @@ class Fabric:
         self._group_kind: Dict[Tuple[int, ...], TransportKind] = {}
         self._nic_tx: Dict[Tuple[int, NICType], Resource] = {}
         self._uplinks: Dict[Tuple[int, int], Resource] = {}
+        #: step counts published ahead of the clock (see
+        #: :meth:`count_steps_at`): [starts, tallies, next] per batch, in
+        #: publication order, and the earliest start not yet counted
+        self._deferred_counts: List[list] = []
+        self._deferred_due = math.inf
 
     # ------------------------------------------------------------------ #
     # transport resolution
@@ -261,6 +268,14 @@ class Fabric:
         return self._rebuild_charge(
             self._pair_kind, key, self.transport(src, dst).kind
         )
+
+    def pair_rebuild_owed(self, src: int, dst: int) -> bool:
+        """Whether the (src, dst) channel's next transfer pays a rebuild
+        (its transport family changed since it last communicated).  Unlike
+        :meth:`pair_rebuild_time` this charges and records nothing."""
+        key = (src, dst) if src < dst else (dst, src)
+        prev = self._pair_kind.get(key)
+        return prev is not None and prev != self.transport(src, dst).kind
 
     def establish(self, groups: Sequence[Sequence[int]]) -> None:
         """Model startup communicator creation: resolve the transport of
@@ -425,6 +440,8 @@ class Fabric:
             if self.metrics is not None:
                 self._bound_retry["collective"].inc(occupancy - clean)
         if self.metrics is not None:
+            if self._deferred_counts:
+                self.flush_step_counts(self.engine.now)
             m_bytes, m_seconds = self._comm_counters(
                 _KIND_STR[edge.kind], "collective"
             )
@@ -453,6 +470,8 @@ class Fabric:
             if self.metrics is not None:
                 self._bound_retry["collective"].inc(duration - clean)
         if self.metrics is not None:
+            if self._deferred_counts:
+                self.flush_step_counts(self.engine.now)
             m_bytes, m_seconds = self._comm_counters(
                 _KIND_STR[edge.kind], "collective"
             )
@@ -470,6 +489,53 @@ class Fabric:
         return self._comm_counters(
             _KIND_STR[self.transport(src, dst).kind], "collective"
         )
+
+    def count_steps_at(self, times: Sequence[float], tallies: List[tuple]) -> None:
+        """Publish executed collective steps a fused ring pass computed,
+        possibly ahead of the clock: step ``k`` starts at ``times[k]``
+        (non-decreasing) and adds ``tallies[k]`` — ``(counters, bytes,
+        seconds)``, ``counters`` being the pair
+        :meth:`collective_step_counters` returned.  Steps are counted in
+        start order (ties in publication order) among themselves and with
+        the steps priced as they happen, so the float totals add up as a
+        step-by-step run adds them; :meth:`flush_step_counts` counts what
+        is left when the run stops."""
+        self._deferred_counts.append([times, tallies, 0])
+        if times[0] < self._deferred_due:
+            self._deferred_due = times[0]
+
+    def flush_step_counts(self, upto: float = math.inf) -> None:
+        """Count the deferred steps that start by ``upto``."""
+        if self._deferred_due > upto:
+            return
+        starts: List[float] = []
+        tallies: List[tuple] = []
+        pending = []
+        due = math.inf
+        for batch in self._deferred_counts:
+            times, counts, pos = batch
+            stop = bisect.bisect_right(times, upto, pos)
+            starts += times[pos:stop]
+            tallies += counts[pos:stop]
+            if stop < len(times):
+                batch[2] = stop
+                pending.append(batch)
+                due = min(due, times[stop])
+        self._deferred_counts = pending
+        self._deferred_due = due
+        # a stable sort by start keeps ties in publication order; each
+        # series is summed onto its total one step at a time
+        sums: Dict[tuple, list] = {}
+        for k in sorted(range(len(starts)), key=starts.__getitem__):
+            counters, nbytes, seconds = tallies[k]
+            acc = sums.get(counters)
+            if acc is None:
+                acc = sums[counters] = [counters[0].total, counters[1].total]
+            acc[0] += nbytes
+            acc[1] += seconds
+        for (m_bytes, m_seconds), (total_bytes, total_seconds) in sums.items():
+            m_bytes.advance_to(total_bytes)
+            m_seconds.advance_to(total_seconds)
 
     def group_rebuild_time(self, ranks: Sequence[int]) -> float:
         """Communicator rebuild charge for a group whose transport family

@@ -61,6 +61,22 @@ class BoundCounter:
         values = self._values
         values[self._key] = values.get(self._key, 0.0) + amount
 
+    @property
+    def total(self) -> float:
+        """The series' current value."""
+        return self._values.get(self._key, 0.0)
+
+    def advance_to(self, total: float) -> None:
+        """Set the series to ``total``, a value its caller summed onto
+        :attr:`total` itself, one increment at a time (so it equals what
+        those ``inc`` calls would have left)."""
+        values = self._values
+        if total < values.get(self._key, 0.0):
+            raise ConfigurationError(
+                f"counter {self._name} cannot decrease (to {total})"
+            )
+        values[self._key] = total
+
 
 class BoundHistogram:
     """A histogram pre-bound to one label set (see :class:`BoundCounter`)."""

@@ -33,6 +33,8 @@ class SimEngine:
         self._sequence = count()
         self._running = False
         self._steps = 0
+        #: depth of :meth:`start` calls running a process inside an event
+        self._inline = 0
         self.hooks = hooks
 
     @property
@@ -66,8 +68,22 @@ class SimEngine:
         current event* — as if the caller had ``yield from``-ed it — rather
         than from a fresh event at the current time like :meth:`process`."""
         proc = Process(self, generator, name=name)
-        proc._step()
+        self._inline += 1
+        try:
+            proc._step()
+        finally:
+            self._inline -= 1
         return proc
+
+    def quiet(self) -> bool:
+        """Whether a process running as its own event may go on at once
+        where it would wait for a zero-delay resume event: no other event
+        is queued at the current instant and no :meth:`start` is running.
+        The resume event would then have been the very next one, so going
+        on at once schedules everything in the same order relative to
+        every other event — only the step count differs."""
+        queue = self._queue
+        return not self._inline and (not queue or queue[0][0] > self._now)
 
     def call_at(self, when: float, thunk: Callable[[], None]) -> None:
         """Run ``thunk`` at absolute virtual time ``when`` (>= now).  Unlike

@@ -39,14 +39,21 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self._in_use
 
-    def acquire(self) -> SimEvent:
-        """Request a slot.  The returned event fires when the slot is granted."""
-        ev = self.engine.event(name=self._acquire_name)
+    def try_acquire(self) -> bool:
+        """Take a slot now if one is free, without an event; ``False`` (and
+        nothing queued) when the resource is full."""
         if self._in_use < self.capacity:
             self._in_use += 1
             hooks = getattr(self.engine, "hooks", None)
             if hooks is not None:
                 hooks.on_resource_grant(self, self.engine.now)
+            return True
+        return False
+
+    def acquire(self) -> SimEvent:
+        """Request a slot.  The returned event fires when the slot is granted."""
+        ev = self.engine.event(name=self._acquire_name)
+        if self.try_acquire():
             ev.succeed(self)
         else:
             self._waiters.append(ev)
@@ -88,6 +95,11 @@ class Store:
             getter.succeed(item)
         else:
             self._items.append(item)
+
+    def get_nowait(self) -> Any:
+        """Take the oldest item without an event (``IndexError`` when the
+        store is empty)."""
+        return self._items.popleft()
 
     def get(self) -> SimEvent:
         """Request an item; the event fires with the item when available."""

@@ -74,11 +74,15 @@ class _CollectiveAudit:
 
 @dataclass
 class _ResourceAudit:
-    """Live grant count for one :class:`Resource` instance."""
+    """Live grant count for one :class:`Resource` instance, plus the
+    exclusive intervals priced outside the event queue (ring passes
+    owning a NIC edge) that no grant may overlap."""
 
     capacity: int
     active: int = 0
     grants: int = 0
+    granted_at: float = 0.0
+    claims: List[Tuple[float, float]] = field(default_factory=list)
 
 
 class ValidationHooks:
@@ -167,6 +171,9 @@ class ValidationHooks:
         audit = self._resource_audit(resource)
         audit.active += 1
         audit.grants += 1
+        audit.granted_at = now
+        if audit.claims:
+            self._check_claims(resource, audit, now, now, "a grant")
         if audit.active > audit.capacity:
             kind = "overlapping exclusive grants" if audit.capacity == 1 else (
                 "more grants than capacity"
@@ -184,6 +191,8 @@ class ValidationHooks:
         """Called on every :meth:`Resource.release`."""
         self._check("resource.release_balanced")
         audit = self._resource_audit(resource)
+        if audit.claims and audit.active == 1:
+            self._check_claims(resource, audit, audit.granted_at, now, "a grant")
         audit.active -= 1
         if audit.active < 0:
             self._fail(
@@ -193,6 +202,54 @@ class ValidationHooks:
                 capacity=audit.capacity,
                 now=now,
             )
+
+    def on_resource_claim(
+        self, resource: "Resource", start: float, end: float
+    ) -> None:
+        """A capacity-1 resource is held exclusively over ``[start, end)``
+        without a grant: a ring pass priced a step of a NIC edge it owns.
+        The interval may overlap no other claim and no real grant (one
+        held now, or one granted later: see :meth:`on_resource_release`)."""
+        self._check("resource.capacity")
+        audit = self._resource_audit(resource)
+        if audit.active and start <= self._last_now + TIME_EPS:
+            self._claim_overlap(resource, audit, (start, end), "a held grant")
+        # claims over before anything still to be checked are done with
+        horizon = (audit.granted_at if audit.active else self._last_now) - TIME_EPS
+        audit.claims = [c for c in audit.claims if c[1] > horizon]
+        self._check_claims(resource, audit, start, end, "another owned interval")
+        audit.claims.append((start, end))
+
+    def _check_claims(
+        self,
+        resource: "Resource",
+        audit: _ResourceAudit,
+        start: float,
+        end: float,
+        what: str,
+    ) -> None:
+        """Fail when the interval ``[start, end)`` — an instant when
+        ``end == start`` — overlaps a recorded claim."""
+        for claim in audit.claims:
+            if start < claim[1] - TIME_EPS and (
+                claim[0] < end - TIME_EPS
+                if end > start
+                else claim[0] <= start + TIME_EPS
+            ):
+                self._claim_overlap(resource, audit, claim, what)
+
+    def _claim_overlap(
+        self, resource: "Resource", audit: _ResourceAudit, claim: tuple, what: str
+    ) -> None:
+        self._fail(
+            "resource.capacity",
+            f"resource holds overlapping exclusive grants: an owned interval "
+            f"overlaps {what}",
+            name=resource.name,
+            capacity=audit.capacity,
+            claim=claim,
+            now=self._last_now,
+        )
 
     # ------------------------------------------------------------------ #
     # collectives: byte conservation

@@ -1,14 +1,16 @@
 """Fused ring passes vs. the step-by-step reference they replaced.
 
-The executor computes intra-node ring hops arithmetically and keeps only
-NIC-crossing steps as events.  Its contract is exactness: against
+The executor computes intra-node ring hops arithmetically, and NIC-crossing
+edges too while a pass owns them; the remaining steps, and pipeline p2p,
+go through the leaner send path.  Its contract is exactness: against
 :class:`~tests.collectives.stepwise_reference.StepwiseExecutor` (the old
-per-step loop, kept here as a test-only reference) every untraced result
-document is equal and every traced run records the same multiset of spans.
-Span *order* may differ, since held intra-node spans are recorded when their
-member completes.
+per-step loop over the old send path, kept here as a test-only reference)
+every untraced result document is equal and every traced run records the
+same multiset of spans.  Span *order* may differ, since held spans of
+computed steps are recorded when their member completes.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +20,8 @@ from repro.bench.paramgroups import PARAM_GROUPS
 from repro.bench.runner import case_scenario
 from repro.collectives.executor import CollectiveExecutor
 from repro.collectives.p2p import ChannelRegistry
+from repro.core.engine import TrainingSimulation
+from repro.core.scheduler import HolmesScheduler
 from repro.errors import InvariantViolation
 from repro.faults.plan import FaultEvent, FaultKind
 from repro.hardware.nic import NICType
@@ -29,7 +33,7 @@ from repro.simcore.process import Timeout
 from repro.simcore.trace import TraceRecorder
 from repro.units import MB
 from repro.validate.hooks import ValidationHooks
-from repro.validate.replay import span_token
+from repro.validate.replay import metrics_digest, span_token
 from repro.validate.scenarios import ENV_BUILDERS, ScenarioSpec
 
 from tests.collectives.stepwise_reference import StepwiseExecutor, stepwise_engine
@@ -61,6 +65,27 @@ def assert_same_run(scenario):
     ref.pop("trace_digest")
     assert fused == ref
     assert fused_spans == ref_spans
+
+
+def assert_same_untraced_and_traced(scenario):
+    assert_same_run(dataclasses.replace(scenario, trace_enabled=False))
+    assert_same_run(dataclasses.replace(scenario, trace_enabled=True))
+
+
+def curve_scenario(world, **overrides):
+    """A point of the executed weak-scaling curve the benchmark runs:
+    hybrid, group-1 model, t1 p2, 4-sample micro-batches, 8 per replica."""
+    model = PARAM_GROUPS[1].model
+    fields = dict(
+        env="hybrid", nodes=world // 8,
+        num_layers=model.num_layers, hidden_size=model.hidden_size,
+        num_attention_heads=model.num_attention_heads,
+        seq_length=model.seq_length, vocab_size=model.vocab_size,
+        tensor=1, pipeline=2, micro_batch_size=4, num_microbatches=8,
+        trace_enabled=False,
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
 
 
 # --------------------------------------------------------------------- #
@@ -125,6 +150,85 @@ def test_tied_embeddings_and_stragglers():
         "roce", 4, 1, tie_embeddings=True, stragglers=((3, 1.5),),
         trace_enabled=True,
     ))
+
+
+# --------------------------------------------------------------------- #
+# owned NIC-crossing edges and the cases that demote them
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("world", [32, 64])
+def test_executed_curve_points(world):
+    """Every NIC edge of the benchmark's curve is ownable: the pass prices
+    them itself once the pipeline senders have joined."""
+    assert_same_untraced_and_traced(curve_scenario(world))
+
+
+def test_two_rings_per_nic():
+    """t=2 puts two DP rings through every NIC: no edge is ownable."""
+    assert_same_untraced_and_traced(curve_scenario(
+        32, env="ib", tensor=2, pipeline=2, num_layers=8,
+    ))
+
+
+def test_overlapped_buckets_demote_every_edge():
+    """holmes-full issues gradient buckets as concurrent passes per ring."""
+    assert_same_untraced_and_traced(
+        curve_scenario(32, framework="holmes-full")
+    )
+
+
+def test_cross_cluster_ring():
+    """p1 stretches each DP ring over both clusters of the hybrid machine:
+    its uplink edges stay sends, its in-cluster NIC edges are owned."""
+    assert_same_untraced_and_traced(curve_scenario(32, pipeline=1, num_layers=8))
+
+
+def test_nic_flap_mid_pass():
+    """A NIC flap in the middle of the gradient sync (any fault plan
+    demotes every edge; the flap re-resolves pairs to TCP and charges
+    rebuilds)."""
+    trace = simulate(curve_scenario(32, trace_enabled=True)).trace
+    syncs = [s for s in trace.spans if s.label.startswith("coll:dp")]
+    start = min(s.start for s in syncs)
+    end = max(s.end for s in syncs)
+    flap = FaultEvent(
+        time=(start + end) / 2, kind=FaultKind.NIC_FLAP, node=1,
+        duration=(end - start) / 10,
+    )
+    assert_same_untraced_and_traced(
+        curve_scenario(32, fault_events=(flap,), validate=True)
+    )
+
+
+def test_straggler_demotes_ownership():
+    assert_same_untraced_and_traced(curve_scenario(32, stragglers=((5, 1.3),)))
+
+
+def _engine_run(topo, group, traced, **engine_kwargs):
+    """A TrainingSimulation run (for knobs a Scenario does not carry):
+    its metrics digest, iteration time and sorted span tokens."""
+    parallel = group.parallel_for(topo.world_size)
+    plan = HolmesScheduler().plan(
+        topo, parallel, group.model, partition_strategy="uniform"
+    )
+    result = TrainingSimulation(
+        plan, group.model, trace_enabled=traced, **engine_kwargs
+    ).run()
+    spans = sorted(span_token(s) for s in result.trace.spans)
+    return metrics_digest(result.metrics), result.iteration_time, spans
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("env", ["ethernet", "ib"])
+def test_asynchronous_p2p(env, traced):
+    """Asynchronous pipeline sends may still hold a NIC when a member joins
+    the gradient sync: no ring edge with p2p senders on its NIC is owned."""
+    topo = ENV_BUILDERS[env](4, 8)
+    fused = _engine_run(topo, PARAM_GROUPS[1], traced, blocking_p2p=False)
+    with stepwise_engine():
+        ref = _engine_run(topo, PARAM_GROUPS[1], traced, blocking_p2p=False)
+    assert fused == ref
 
 
 # --------------------------------------------------------------------- #
