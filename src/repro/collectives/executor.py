@@ -44,7 +44,6 @@ from repro.collectives.p2p import ChannelRegistry, Message, recv, send
 from repro.errors import CommunicatorError
 from repro.network.contention import FidelityPolicy
 from repro.network.fabric import Fabric
-from repro.network.transport import nic_family_for
 from repro.simcore.event import SimEvent
 from repro.simcore.process import Wait
 from repro.simcore.resource import Barrier
@@ -213,7 +212,7 @@ class _RingPass:
         fabric = self.executor.fabric
         i = self.index[rank]
         nxt = self.ring[(i + 1) % len(self.ring)]
-        if fabric.transport(rank, nxt).kind.is_intra_node:
+        if fabric.p2p_edge(rank, nxt).intra:
             self.step_time[i] = fabric.collective_step_time(
                 rank, nxt, self.chunk, self.messages
             )
@@ -338,9 +337,7 @@ class _RingPass:
         nxt = self.ring[(i + 1) % len(self.ring)]
         if fabric.pair_rebuild_owed(rank, nxt):
             return False
-        nic = fabric.nic_tx_resource(
-            rank, nic_family_for(fabric.transport(rank, nxt).kind)
-        )
+        nic = fabric.p2p_edge(rank, nxt).nic
         return nic.in_use == 0 and nic not in self.executor._owners
 
     def _own(self, i: int) -> tuple:
@@ -349,14 +346,14 @@ class _RingPass:
         fabric = self.executor.fabric
         rank = self.ring[i]
         nxt = self.ring[(i + 1) % len(self.ring)]
-        transport = fabric.transport(rank, nxt)
-        nic = fabric.nic_tx_resource(rank, nic_family_for(transport.kind))
+        edge = fabric.p2p_edge(rank, nxt)
+        nic = edge.nic
         occupancy = fabric.collective_step_occupancy(
             rank, nxt, self.chunk, self.messages
         )
         own = self.owned[i] = (
             occupancy,
-            transport.latency,
+            edge.latency,
             self._tally(rank, nxt, occupancy),
             nic,
         )
@@ -514,7 +511,7 @@ class _RingPass:
                 trace.record(
                     rank, "nic", f"nic-tx:{prefix}{s}", begin, end, self.chunk,
                     dst=nxt,
-                    family=nic_family_for(fabric.transport(rank, nxt).kind).value,
+                    family=fabric.p2p_edge(rank, nxt).family.value,
                     src_node=topo.device(rank).node_global,
                     dst_node=topo.device(nxt).node_global,
                 )

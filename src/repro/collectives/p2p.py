@@ -15,88 +15,131 @@ charges, uplink sharing, tracing, and delivery are one shared code path.
 
 The generator returned by :func:`send` is meant to be spawned as (or yielded
 from) a :class:`~repro.simcore.process.Process`; the matching receiver calls
-:func:`recv` on the same :class:`Channel`.
+:func:`recv` on the same (src, dst, tag) mailbox of the
+:class:`ChannelRegistry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import TransportError
-from repro.network.fabric import Fabric
-from repro.network.transport import nic_family_for
+from repro.network.fabric import EdgePlan, Fabric
 from repro.simcore.engine import SimEngine
-from repro.simcore.process import Timeout, Wait
-from repro.simcore.resource import Store
+from repro.simcore.event import SimEvent
+from repro.simcore.process import Timeout
 from repro.simcore.trace import TraceRecorder
 
 
-@dataclass(frozen=True)
 class Message:
     """Payload descriptor delivered through a channel (no real data; the
     training simulation only needs sizes and tags)."""
 
-    src: int
-    dst: int
-    tag: str
-    nbytes: float
-    payload: Any = None
+    __slots__ = ("src", "dst", "tag", "nbytes", "payload")
 
-
-class Channel:
-    """A directed (src, dst, tag) mailbox built on a simcore Store."""
-
-    def __init__(self, engine: SimEngine, src: int, dst: int, tag: str) -> None:
+    def __init__(
+        self, src: int, dst: int, tag: str, nbytes: float, payload: Any = None
+    ) -> None:
         self.src = src
         self.dst = dst
         self.tag = tag
-        self.store = Store(engine, name=f"chan[{src}->{dst}:{tag}]")
+        self.nbytes = nbytes
+        self.payload = payload
+
+
+class Channel:
+    """A named view of one (src, dst, tag) mailbox of a
+    :class:`ChannelRegistry`."""
+
+    def __init__(self, registry: "ChannelRegistry", src: int, dst: int, tag: str) -> None:
+        self.registry = registry
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+
+    def put(self, message: Message) -> None:
+        self.registry.put(message)
+
+    def get(self) -> SimEvent:
+        return self.registry.get(self.src, self.dst, self.tag)
 
 
 class ChannelRegistry:
-    """Lazily creates channels keyed by (src, dst, tag)."""
+    """Mailboxes keyed by (src, dst, tag): a FIFO of queued messages and a
+    FIFO of waiting receivers each, made on first use and dropped once
+    empty — the semantics of a :class:`~repro.simcore.resource.Store` per
+    key, without building one per message tag."""
 
     def __init__(self, engine: SimEngine) -> None:
         self.engine = engine
-        self._channels: Dict[Tuple[int, int, str], Channel] = {}
+        self._queued: Dict[Tuple[int, int, str], List[Message]] = {}
+        self._waiting: Dict[Tuple[int, int, str], List[SimEvent]] = {}
 
     def channel(self, src: int, dst: int, tag: str) -> Channel:
+        return Channel(self, src, dst, tag)
+
+    def put(self, message: Message) -> None:
+        """Deliver ``message``, waking the oldest receiver waiting for it."""
+        key = (message.src, message.dst, message.tag)
+        waiting = self._waiting.get(key)
+        if waiting is None:
+            self._queued.setdefault(key, []).append(message)
+            return
+        getter = waiting.pop(0)
+        if not waiting:
+            del self._waiting[key]
+        getter.succeed(message)
+
+    def take(self, src: int, dst: int, tag: str) -> Optional[Message]:
+        """The oldest queued message, taken without an event (``None`` when
+        nothing is queued)."""
         key = (src, dst, tag)
-        chan = self._channels.get(key)
-        if chan is None:
-            chan = Channel(self.engine, src, dst, tag)
-            self._channels[key] = chan
-        return chan
+        queued = self._queued.get(key)
+        if queued is None:
+            return None
+        message = queued.pop(0)
+        if not queued:
+            del self._queued[key]
+        return message
+
+    def get(self, src: int, dst: int, tag: str) -> SimEvent:
+        """Request a message; the event fires with it when available."""
+        ev = SimEvent(self.engine, tag)
+        message = self.take(src, dst, tag)
+        if message is None:
+            self._waiting.setdefault((src, dst, tag), []).append(ev)
+        else:
+            ev.succeed(message)
+        return ev
 
 
 def _deliver(
     fabric: Fabric,
     channels: ChannelRegistry,
-    src: int,
-    dst: int,
+    edge: EdgePlan,
     tag: str,
     nbytes: float,
-    latency: float,
     payload: Any = None,
     trace: Optional[TraceRecorder] = None,
     deliver: Optional[Callable[[Message], None]] = None,
 ) -> None:
     """Network-side continuation of a send, started as bytes leave the
     sender's NIC: store-and-forward through the inter-cluster uplink (if
-    any), then the propagation latency, then delivery into the destination
-    channel (or to ``deliver``).  Runs asynchronously as a chain of
-    scheduled callbacks — the *sender* only blocks until bytes leave its
-    NIC — with one event wherever a delivery process had one (its start,
-    an uplink grant, each wait), so every event keeps its place in the
-    kernel's order."""
+    any), then the propagation latency of ``edge`` (the plan the send
+    started with), then delivery into the destination mailbox (or to
+    ``deliver``).  Runs asynchronously as a chain of scheduled callbacks —
+    the *sender* only blocks until bytes leave its NIC — with one event
+    wherever a delivery process had one (its start, an uplink grant, each
+    wait), so every event keeps its place in the kernel's order."""
     engine = fabric.engine
-    uplink = fabric.uplink_resource(src, dst)
+    src, dst = edge.src, edge.dst
+    uplink = edge.uplink
+    latency = edge.latency
 
     def land() -> None:
-        message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
+        message = Message(src, dst, tag, nbytes, payload)
         if deliver is None:
-            channels.channel(src, dst, tag).store.put(message)
+            channels.put(message)
         else:
             deliver(message)
 
@@ -180,17 +223,19 @@ def send(
     # A disabled recorder must be a true no-op on this hot path: skip even
     # the label f-strings and kwargs dicts, not just the append.
     tracing = trace is not None and trace.enabled
-    transport = fabric.transport(src, dst)
+    # the transport, NIC and latency this send uses are the ones current
+    # now; its occupancy is priced when its NIC is granted
+    edge = fabric.p2p_edge(src, dst)
     start = engine.now
-    if transport.kind.is_intra_node:
+    if edge.intra:
         if collective:
             duration = fabric.collective_step_time(src, dst, nbytes, messages)
         else:
             duration = fabric.p2p_time(src, dst, nbytes)
         yield Timeout(duration)
-        message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
+        message = Message(src, dst, tag, nbytes, payload)
         if deliver is None:
-            channels.channel(src, dst, tag).store.put(message)
+            channels.put(message)
         else:
             deliver(message)
     else:
@@ -215,10 +260,9 @@ def send(
                 occupancy = fabric.p2p_occupancy(src, dst, nbytes)
             yield Timeout(occupancy)
         else:
-            family = nic_family_for(transport.kind)
-            nic = fabric.nic_tx_resource(src, family)
+            nic = edge.nic
             if not (engine.quiet() and nic.try_acquire()):
-                yield Wait(nic.acquire())
+                yield nic.acquire()
             occupied = engine.now
             if collective:
                 occupancy = fabric.collective_step_occupancy(
@@ -231,13 +275,13 @@ def send(
             if tracing:
                 trace.record(
                     src, "nic", f"nic-tx:{tag}", occupied, engine.now, nbytes,
-                    dst=dst, family=family.value,
+                    dst=dst, family=edge.family.value,
                     src_node=fabric.topology.device(src).node_global,
                     dst_node=fabric.topology.device(dst).node_global,
                 )
         _deliver(
-            fabric, channels, src, dst, tag, nbytes, transport.latency,
-            payload, trace if tracing else None, deliver,
+            fabric, channels, edge, tag, nbytes, payload,
+            trace if tracing else None, deliver,
         )
     if tracing:
         if collective:
@@ -264,16 +308,14 @@ def recv(
     receive-side pipeline bubble) — also the anchor the Chrome-trace
     exporter hangs p2p flow arrows on.
     """
-    store = channels.channel(src, dst, tag).store
+    engine = channels.engine
     tracing = trace is not None and trace.enabled
-    start = store.engine.now if tracing else 0.0
-    if len(store) and store.engine.quiet():
-        # already queued, and nothing else due now: taken at once
-        msg = store.get_nowait()
-    else:
-        msg = yield Wait(store.get())
+    start = engine.now if tracing else 0.0
+    # already queued, and nothing else due now: taken at once
+    msg = channels.take(src, dst, tag) if engine.quiet() else None
+    if msg is None:
+        msg = yield channels.get(src, dst, tag)
     if tracing:
-        engine = store.engine
         trace.record(
             dst, "idle", f"recv-wait:{tag}", start, engine.now, msg.nbytes,
             src=src,

@@ -575,6 +575,11 @@ class TrainingSimulation:
 
         placement = plan.placement
         layout = plan.layout
+        #: physical rank -> index of the first DP group holding it
+        dp_group_of: Dict[int, int] = {}
+        for gi, g in enumerate(dp_groups):
+            for r in g:
+                dp_group_of.setdefault(r, gi)
         finish_times: Dict[int, float] = {}  # physical rank -> done time
 
         def _slowdown(phys: int) -> float:
@@ -591,9 +596,7 @@ class TrainingSimulation:
             pp_group_logical = layout.pp_group_of(logical)
             pp_group_phys = [placement.physical(r) for r in pp_group_logical]
             bwd_window = 0.0
-            group_index = next(
-                gi for gi, g in enumerate(dp_groups) if phys in g
-            )
+            group_index = dp_group_of[phys]
             meta = group_meta[group_index]
             total_bwd = backward_ops_per_stage[stage]
             bucket_procs = []

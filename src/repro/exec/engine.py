@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
@@ -67,15 +68,19 @@ def _isolate_seeds(digest: str) -> None:
     carry their own seeds), but user hooks or future code might; deriving
     the global seeds from the scenario — not from the worker — makes any
     such draw identical under serial, parallel, and re-ordered execution.
+
+    NumPy's global RNG is reseeded only when ``numpy`` is already in
+    ``sys.modules``: a process that never imported NumPy holds no NumPy
+    state an earlier scenario could have advanced, and importing NumPy
+    here would load it into every process that runs a sweep cell (each
+    worker of a ``-j N`` pool too) for nothing.  A hook that draws from
+    NumPy's global RNG should import NumPy before the sweep starts.
     """
     seed = int(digest[:16], 16)
     random.seed(seed)
-    try:
-        import numpy as _np
-
-        _np.random.seed(seed % (2**32))
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        pass
+    np = sys.modules.get("numpy")
+    if np is not None:
+        np.random.seed(seed % (2**32))
 
 
 def _run_one(scenario: "Scenario") -> "RunResult":

@@ -15,7 +15,7 @@ other?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.hardware.cluster import Cluster
@@ -65,6 +65,8 @@ class ClusterTopology:
         self.gpus_per_node: int = next(iter(gpus_per_node))
 
         self._devices: List[DeviceInfo] = []
+        #: global node index of every rank, in rank order
+        rank_nodes: List[int] = []
         self._nodes: List[Node] = []  # indexed by node_global
         self._node_cluster: List[int] = []
         node_global = 0
@@ -72,6 +74,7 @@ class ClusterTopology:
             for node_local, node in enumerate(cluster.nodes):
                 self._nodes.append(node)
                 self._node_cluster.append(cluster.cluster_id)
+                rank_nodes += [node_global] * node.num_gpus
                 for gpu_index in range(node.num_gpus):
                     self._devices.append(
                         DeviceInfo(
@@ -86,6 +89,8 @@ class ClusterTopology:
         cluster_ids = [c.cluster_id for c in self.clusters]
         if len(set(cluster_ids)) != len(cluster_ids):
             raise TopologyError(f"duplicate cluster ids: {cluster_ids}")
+        self.rank_nodes: Tuple[int, ...] = tuple(rank_nodes)
+        self._node_classes: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -121,6 +126,19 @@ class ClusterTopology:
             if cluster.cluster_id == cid:
                 return cluster
         raise TopologyError(f"cluster {cid} vanished")  # pragma: no cover
+
+    def node_classes(self) -> Tuple[int, ...]:
+        """Per global node, a class id shared by the nodes of one cluster
+        with equal NICs: every pair of nodes drawn from two given classes
+        (or two distinct nodes of one class) resolves to the same
+        transport."""
+        if self._node_classes is None:
+            ids: Dict[tuple, int] = {}
+            self._node_classes = tuple(
+                ids.setdefault((cid, node.ethernet_nic, node.rdma_nic), len(ids))
+                for node, cid in zip(self._nodes, self._node_cluster)
+            )
+        return self._node_classes
 
     def ranks_of_node(self, node_global: int) -> List[int]:
         """All global ranks hosted on one node."""

@@ -123,7 +123,6 @@ class CollectiveCostModel:
         self._step_occupancy_cache: Dict[tuple, float] = {}
         self._step_time_cache: Dict[tuple, float] = {}
         self._p2p_cache: Dict[tuple, float] = {}
-        self._p2p_occupancy_cache: Dict[tuple, float] = {}
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -337,10 +336,6 @@ class CollectiveCostModel:
     ) -> float:
         """Sender-side NIC busy time for one p2p transfer (no propagation
         latency; used for FIFO NIC serialization in the DES)."""
-        key = (edge, nbytes, cross_cluster)
-        cached = self._p2p_occupancy_cache.get(key)
-        if cached is not None:
-            return cached
         if nbytes < 0:
             raise ConfigurationError(f"negative transfer size: {nbytes}")
         bw = edge.bandwidth
@@ -348,8 +343,6 @@ class CollectiveCostModel:
             bw *= self.config.inter_cluster_p2p_factor
         attempt = self.config.p2p_overhead[edge.kind] + nbytes / bw
         # Retransmissions re-occupy the sender's NIC for a full attempt.
-        result = attempt * expected_attempts(
+        return attempt * expected_attempts(
             edge.loss_rate, self.config.retry_policy.max_retries
         )
-        self._p2p_occupancy_cache[key] = result
-        return result

@@ -50,6 +50,54 @@ DEAD_LINK_LOSS = 0.99
 _KIND_STR = {kind: str(kind) for kind in TransportKind}
 
 
+class EdgePlan:
+    """What transfers over one directed ``(src, dst)`` edge need from the
+    fabric, resolved once per health epoch by :meth:`Fabric.p2p_edge`:
+    the transport, whether it stays inside a node, the NIC family, the
+    sender's NIC transmit resource and the inter-cluster uplink (``None``
+    without an attached engine, inside a node or inside a cluster), the
+    propagation latency, and whether both ends share a cluster.  It also
+    memoises the edge's p2p occupancy per size (raw cost-model output and
+    the lossless price) and the registry children its transfers publish
+    into.
+
+    A send reads the transport, family, NIC and latency from the plan
+    current when it *starts*, and prices its occupancy from the plan
+    current when its NIC is *granted* — a fault landing while a transfer
+    queues changes its occupancy, not its NIC or its latency.
+    """
+
+    __slots__ = (
+        "src", "dst", "epoch", "transport", "intra", "family", "nic",
+        "uplink", "latency", "same_cluster", "occupancy", "counters", "hist",
+    )
+
+    def __init__(self, fabric: "Fabric", src: int, dst: int) -> None:
+        transport = fabric.transport(src, dst)
+        self.src = src
+        self.dst = dst
+        self.epoch = fabric.health.epoch
+        self.transport = transport
+        self.intra = transport.kind.is_intra_node
+        self.latency = transport.latency
+        self.same_cluster = fabric.topology.same_cluster(src, dst)
+        self.family: Optional[NICType] = None
+        self.nic: Optional[Resource] = None
+        self.uplink: Optional[Resource] = None
+        if not self.intra:
+            self.family = nic_family_for(transport.kind)
+            if fabric.engine is not None:
+                self.nic = fabric.nic_tx_resource(src, self.family)
+                if not self.same_cluster:
+                    self.uplink = fabric.uplink_resource(src, dst)
+        #: nbytes -> (occupancy, lossless occupancy or None)
+        self.occupancy: Dict[float, Tuple[float, Optional[float]]] = {}
+        #: (bytes, seconds) p2p counters and the occupancy histogram child,
+        #: bound at the first transfer priced with a registry
+        self.counters: Optional[tuple] = None
+        self.hist: Optional[object] = None
+
+
 class Fabric:
     """Communication oracle over one cluster topology.
 
@@ -119,6 +167,11 @@ class Fabric:
         self._group_kind: Dict[Tuple[int, ...], TransportKind] = {}
         self._nic_tx: Dict[Tuple[int, NICType], Resource] = {}
         self._uplinks: Dict[Tuple[int, int], Resource] = {}
+        self._edges: Dict[Tuple[int, int], EdgePlan] = {}
+        #: ring tuple -> its sorted member key (see :meth:`_group_key`)
+        self._group_keys: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        #: (epoch, node -> NIC health states) for the node classes
+        self._node_states: Tuple[int, Dict[int, tuple]] = (-1, {})
         #: step counts published ahead of the clock (see
         #: :meth:`count_steps_at`): [starts, tallies, next] per batch, in
         #: publication order, and the earliest start not yet counted
@@ -195,6 +248,25 @@ class Fabric:
             loss_rate=min(loss, DEAD_LINK_LOSS),
         )
 
+    def p2p_edge(self, src: int, dst: int) -> EdgePlan:
+        """The :class:`EdgePlan` of the directed edge ``src -> dst``,
+        current for the health epoch (rebuilt after a fault moves it, and
+        dropped by :meth:`attach_engine`)."""
+        key = (src, dst)
+        plan = self._edges.get(key)
+        if plan is None or plan.epoch != self.health.epoch:
+            plan = self._edges[key] = EdgePlan(self, src, dst)
+        return plan
+
+    def _group_key(self, ranks: Sequence[int]) -> Tuple[int, ...]:
+        """The sorted member tuple of a group, cached per ring tuple."""
+        if type(ranks) is not tuple:
+            return tuple(sorted(set(ranks)))
+        key = self._group_keys.get(ranks)
+        if key is None:
+            key = self._group_keys[ranks] = tuple(sorted(set(ranks)))
+        return key
+
     def group_transport(self, ranks: Sequence[int]) -> Transport:
         """The slowest edge a node-contiguous ring over ``ranks`` must cross.
 
@@ -203,40 +275,88 @@ class Fabric:
         order, if any two nodes in the group can only reach each other over
         a slow transport, at least one ring edge uses it.  We therefore take
         the minimum-bandwidth transport over all node pairs (conservative
-        and order-independent).  Single-node groups use the intra-node link.
+        and order-independent; ties go to the higher loss, then to the
+        first pair in order).  Single-node groups use the intra-node link.
         """
-        ranks = tuple(sorted(set(ranks)))
-        if len(ranks) < 2:
-            raise CommunicatorError(f"group transport needs >= 2 ranks: {ranks}")
-        cached = self._group_cache.get(ranks)
+        key = self._group_key(ranks)
+        if len(key) < 2:
+            raise CommunicatorError(f"group transport needs >= 2 ranks: {key}")
+        cached = self._group_cache.get(key)
         if cached is not None and cached[0] == self.health.epoch:
             return cached[1]
+        transport = self._slowest_edge(key)
+        self._group_cache[key] = (self.health.epoch, transport)
+        return transport
 
-        # One representative rank per node.
+    def _slowest_edge(self, ranks: Tuple[int, ...]) -> Transport:
+        """:meth:`group_transport` over one representative per node class.
+
+        Nodes of one class — same cluster, same NICs, same NIC health —
+        resolve to one transport against any other node, so the node pairs
+        fall into class pairs with one transport each, and the first node
+        pair of a class pair (in the order of the nodes' first ranks) is
+        its representative.  Scanning the representatives in pair order
+        with the all-pairs rule picks the transport an all-pairs scan
+        picks, at O(nodes + classes²) instead of O(nodes²).  A group on
+        one or two nodes has a single pair to resolve."""
+        rank_nodes = self.topology.rank_nodes
+        #: node -> its first rank in the group, in rank order
         reps: Dict[int, int] = {}
         for r in ranks:
-            reps.setdefault(self.topology.device(r).node_global, r)
-        rep_ranks = list(reps.values())
-        if len(rep_ranks) == 1:
-            transport = self.transport(ranks[0], ranks[1])
-        else:
-            worst: Optional[Transport] = None
-            for i, a in enumerate(rep_ranks):
-                for b in rep_ranks[i + 1 :]:
-                    t = self.transport(a, b)
-                    if (
-                        worst is None
-                        or t.bandwidth < worst.bandwidth
-                        or (
-                            t.bandwidth == worst.bandwidth
-                            and t.loss_rate > worst.loss_rate
-                        )
-                    ):
-                        worst = t
-            assert worst is not None
-            transport = worst
-        self._group_cache[ranks] = (self.health.epoch, transport)
-        return transport
+            reps.setdefault(rank_nodes[r], r)
+        if len(reps) == 1:
+            return self.transport(ranks[0], ranks[1])
+        if len(reps) == 2:
+            return self.transport(*reps.values())
+        epoch, states = self._node_states
+        if epoch != self.health.epoch:
+            states = self.health.node_states()
+            self._node_states = (self.health.epoch, states)
+        hw_class = self.topology.node_classes()
+        #: class -> its nodes' representatives, in rank order
+        classes: Dict[object, List[int]] = {}
+        for node, r in reps.items():
+            state = states.get(node)
+            cls = hw_class[node] if state is None else (hw_class[node], state)
+            classes.setdefault(cls, []).append(r)
+        # classes come in order of first rank: each pair (a, b) has a < b
+        groups = list(classes.values())
+        pairs = sorted(
+            [(g[0], g[1], i, i) for i, g in enumerate(groups) if len(g) > 1]
+            + [(g[0], h[0], i, j) for i, g in enumerate(groups)
+               for j, h in enumerate(groups) if i < j]
+        )
+        worst: Optional[Transport] = None
+        for a, b, _, _ in pairs:
+            t = self.transport(a, b)
+            if (
+                worst is None
+                or t.bandwidth < worst.bandwidth
+                or (t.bandwidth == worst.bandwidth and t.loss_rate > worst.loss_rate)
+            ):
+                worst = t
+        if self.fault_stats.fallback_pairs:
+            self._track_fallback_pairs(groups, pairs)
+        assert worst is not None
+        return worst
+
+    def _track_fallback_pairs(self, groups: List[List[int]], pairs: list) -> None:
+        """Leave the fallback-pair set as an all-pairs scan would: resolving
+        a pair adds it while its RDMA path is down and drops it otherwise,
+        and every node pair of a class pair shares its representative's
+        state."""
+        fallback = self.fault_stats.fallback_pairs
+        fell = {(i, j) for a, b, i, j in pairs if (a, b) in fallback}
+        for i, j in fell:
+            fallback.update(
+                (a, b) if a < b else (b, a)
+                for a in groups[i] for b in groups[j] if a != b
+            )
+        index = {r: i for i, group in enumerate(groups) for r in group}
+        for a, b in list(fallback):
+            i, j = index.get(a), index.get(b)
+            if i is not None and j is not None and (min(i, j), max(i, j)) not in fell:
+                fallback.discard((a, b))
 
     # ------------------------------------------------------------------ #
     # communicator rebuild charges
@@ -266,7 +386,7 @@ class Fabric:
         """Rebuild charge owed by the (src, dst) channel right now."""
         key = (src, dst) if src < dst else (dst, src)
         return self._rebuild_charge(
-            self._pair_kind, key, self.transport(src, dst).kind
+            self._pair_kind, key, self.p2p_edge(src, dst).transport.kind
         )
 
     def pair_rebuild_owed(self, src: int, dst: int) -> bool:
@@ -333,8 +453,8 @@ class Fabric:
         ranks = list(ranks)
         if len(ranks) <= 1 or nbytes == 0:
             return 0.0
-        edge = self.group_transport(ranks)
-        key = tuple(sorted(set(ranks)))
+        key = self._group_key(ranks)
+        edge = self.group_transport(key)
         prev_kind = self._group_kind.get(key)
         rebuild = self._rebuild_charge(self._group_kind, key, edge.kind)
         if prev_kind is not None and prev_kind != edge.kind:
@@ -372,11 +492,11 @@ class Fabric:
 
     def p2p_time(self, src: int, dst: int, nbytes: int, concurrent: int = 1) -> float:
         """End-to-end duration of one point-to-point transfer."""
-        edge = self.transport(src, dst)
+        plan = self.p2p_edge(src, dst)
         duration = self._audit(
             self.cost_model.p2p(
-                nbytes, edge, concurrent,
-                cross_cluster=not self.topology.same_cluster(src, dst),
+                nbytes, plan.transport, concurrent,
+                cross_cluster=not plan.same_cluster,
             ),
             "p2p",
             src=src,
@@ -384,38 +504,57 @@ class Fabric:
             nbytes=nbytes,
         )
         if self.metrics is not None:
-            m_bytes, m_seconds = self._comm_counters(_KIND_STR[edge.kind], "p2p")
+            m_bytes, m_seconds = self._p2p_counters(plan)
             m_bytes.inc(nbytes)
             m_seconds.inc(duration)
         return duration
 
+    def _p2p_counters(self, plan: EdgePlan) -> tuple:
+        counters = plan.counters
+        if counters is None:
+            counters = plan.counters = self._comm_counters(
+                _KIND_STR[plan.transport.kind], "p2p"
+            )
+        return counters
+
     def p2p_occupancy(self, src: int, dst: int, nbytes: int) -> float:
         """Sender NIC busy time for one transfer (DES serialization),
         including the expected retransmissions on a lossy link."""
-        edge = self.transport(src, dst)
-        cross = not self.topology.same_cluster(src, dst)
-        occupancy = self._audit(
-            self.cost_model.p2p_nic_occupancy(nbytes, edge, cross_cluster=cross),
-            "p2p_occupancy",
-            src=src,
-            dst=dst,
-            nbytes=nbytes,
-        )
-        if edge.loss_rate > 0.0:
-            clean = self.cost_model.p2p_nic_occupancy(
-                nbytes,
-                Transport(edge.kind, edge.bandwidth, edge.latency),
-                cross_cluster=cross,
+        plan = self.p2p_edge(src, dst)
+        priced = plan.occupancy.get(nbytes)
+        if priced is None:
+            edge = plan.transport
+            cross = not plan.same_cluster
+            occupancy = self.cost_model.p2p_nic_occupancy(
+                nbytes, edge, cross_cluster=cross
             )
+            clean = None
+            if edge.loss_rate > 0.0:
+                clean = self.cost_model.p2p_nic_occupancy(
+                    nbytes,
+                    Transport(edge.kind, edge.bandwidth, edge.latency),
+                    cross_cluster=cross,
+                )
+            priced = plan.occupancy[nbytes] = (occupancy, clean)
+        occupancy, clean = priced
+        if self.hooks is not None:
+            occupancy = self._audit(
+                occupancy, "p2p_occupancy", src=src, dst=dst, nbytes=nbytes
+            )
+        if clean is not None:
             self.fault_stats.retry_time += occupancy - clean
             if self.metrics is not None:
                 self._bound_retry["p2p"].inc(occupancy - clean)
         if self.metrics is not None:
-            kind = _KIND_STR[edge.kind]
-            m_bytes, m_seconds = self._comm_counters(kind, "p2p")
+            m_bytes, m_seconds = self._p2p_counters(plan)
             m_bytes.inc(nbytes)
             m_seconds.inc(occupancy)
-            self._occupancy_hist(kind).observe(occupancy)
+            hist = plan.hist
+            if hist is None:
+                hist = plan.hist = self._occupancy_hist(
+                    _KIND_STR[plan.transport.kind]
+                )
+            hist.observe(occupancy)
         return occupancy
 
     def collective_step_occupancy(
@@ -542,7 +681,7 @@ class Fabric:
         changed since its last sync (executed-collective counterpart of the
         bookkeeping :meth:`collective_time` performs inline).  Also tracks
         the RDMA -> TCP fallback set for fault reports."""
-        key = tuple(sorted(set(ranks)))
+        key = self._group_key(ranks)
         if len(key) < 2:
             return 0.0
         edge = self.group_transport(key)
@@ -564,6 +703,7 @@ class Fabric:
         self.engine = engine
         self._nic_tx.clear()
         self._uplinks.clear()
+        self._edges.clear()
 
     def nic_tx_resource(self, rank: int, family: NICType) -> Resource:
         """The transmit-side resource of the NIC ``rank``'s node uses for
@@ -603,7 +743,3 @@ class Fabric:
             "uplink_occupancy",
             nbytes=nbytes,
         )
-
-    def send_transport(self, src: int, dst: int) -> Transport:
-        """Alias of :meth:`transport` kept for readability at call sites."""
-        return self.transport(src, dst)

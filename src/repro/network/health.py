@@ -96,6 +96,18 @@ class FabricHealth:
         self._state.pop((node, family), None)
         self.epoch += 1
 
+    def node_states(self) -> Dict[int, tuple]:
+        """Per node with a non-pristine NIC: its NIC states as one hashable
+        tuple of ``(family, down, bandwidth_factor, loss_rate)``, by
+        family.  Nodes missing here are pristine."""
+        states: Dict[int, list] = {}
+        for (node, family), h in self._state.items():
+            if not h.pristine:
+                states.setdefault(node, []).append(
+                    (family.value, h.down, h.bandwidth_factor, h.loss_rate)
+                )
+        return {node: tuple(sorted(entries)) for node, entries in states.items()}
+
     @property
     def any_faults(self) -> bool:
         return any(not h.pristine for h in self._state.values())

@@ -21,6 +21,7 @@ generator's return value, enabling fork/join patterns.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Iterable
 
 from repro.errors import SimulationError
@@ -82,9 +83,18 @@ class Process:
 
     The engine steps the generator, interpreting each yielded command.  When
     the generator returns, :attr:`done` fires with its return value.
+
+    A suspended process has exactly one resume pending, so it resumes
+    through two bound methods made once per process — ``_resume`` (the
+    queued thunk) and ``_wake`` (the callback an awaited event calls) —
+    with the value to send in through ``_value``, rather than through a
+    new closure per ``Timeout``, ``Wait`` or event.
     """
 
-    __slots__ = ("engine", "name", "generator", "done", "_alive")
+    __slots__ = (
+        "engine", "name", "generator", "done", "_alive", "_value", "_resume",
+        "_wake",
+    )
 
     def __init__(self, engine: Any, generator: Generator, name: str = "proc") -> None:
         if not hasattr(generator, "send"):
@@ -97,6 +107,10 @@ class Process:
         self.generator = generator
         self.done: SimEvent = SimEvent(engine, name=f"{name}.done")
         self._alive = True
+        #: the value the pending resume sends into the generator
+        self._value: Any = None
+        self._resume: Any = self._resume_pending
+        self._wake: Any = self._wake_on
 
     @property
     def alive(self) -> bool:
@@ -109,38 +123,60 @@ class Process:
             command = self.generator.send(send_value)
         except StopIteration as stop:
             self._alive = False
+            # nothing resumes a finished process: drop the bound methods so
+            # the process is freed without waiting for the cycle collector
+            self._resume = self._wake = None
             self.done.succeed(stop.value)
             return
         self._dispatch(command)
 
-    def _dispatch(self, command: Any) -> None:
-        engine = self.engine
-        if isinstance(command, Timeout):
-            engine._schedule_at(
-                engine.now + command.delay, lambda: self._step(command.value)
-            )
-        elif isinstance(command, Wait):
-            command.event.add_callback(lambda ev: self._resume_soon(ev.value))
-        elif isinstance(command, SimEvent):
-            command.add_callback(lambda ev: self._resume_soon(ev.value))
-        elif isinstance(command, Process):
-            command.done.add_callback(lambda ev: self._resume_soon(ev.value))
-        elif isinstance(command, AllOf):
-            cond = Condition(engine, command.events, name=f"{self.name}.allof")
-            cond.add_callback(lambda ev: self._resume_soon(ev.value))
-        elif isinstance(command, AnyOf):
-            cond = Condition(
-                engine, command.events, wait_count=1, name=f"{self.name}.anyof"
-            )
-            cond.add_callback(lambda ev: self._resume_soon(ev.value))
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported command: {command!r}"
-            )
+    def _resume_pending(self) -> None:
+        value, self._value = self._value, None
+        self._step(value)
 
-    def _resume_soon(self, value: Any) -> None:
+    def _wake_on(self, ev: SimEvent) -> None:
         """Resume via the event queue so callbacks never re-enter generators."""
-        self.engine._schedule_at(self.engine.now, lambda: self._step(value))
+        self._value = ev._value
+        engine = self.engine
+        heappush(engine._queue, (engine._now, next(engine._sequence), self._resume))
+
+    def _dispatch(self, command: Any) -> None:
+        # exact classes first: these three are nearly every command
+        cls = command.__class__
+        if cls is Timeout or (
+            cls is not Wait and cls is not SimEvent and isinstance(command, Timeout)
+        ):
+            self._value = command.value
+            engine = self.engine
+            # a Timeout's delay is never negative: no past-time check needed
+            heappush(
+                engine._queue,
+                (engine._now + command.delay, next(engine._sequence), self._resume),
+            )
+        elif cls is Wait:
+            command.event.add_callback(self._wake)
+        elif cls is SimEvent:
+            command.add_callback(self._wake)
+        else:
+            self._event_of(command).add_callback(self._wake)
+
+    def _event_of(self, command: Any) -> SimEvent:
+        """The event a rarer command (or a subclass) waits on."""
+        if isinstance(command, Wait):
+            return command.event
+        if isinstance(command, SimEvent):
+            return command
+        if isinstance(command, Process):
+            return command.done
+        if isinstance(command, AllOf):
+            return Condition(self.engine, command.events, name=f"{self.name}.allof")
+        if isinstance(command, AnyOf):
+            return Condition(
+                self.engine, command.events, wait_count=1, name=f"{self.name}.anyof"
+            )
+        raise SimulationError(
+            f"process {self.name!r} yielded unsupported command: {command!r}"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self._alive else "done"

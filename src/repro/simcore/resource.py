@@ -52,7 +52,7 @@ class Resource:
 
     def acquire(self) -> SimEvent:
         """Request a slot.  The returned event fires when the slot is granted."""
-        ev = self.engine.event(name=self._acquire_name)
+        ev = SimEvent(self.engine, self._acquire_name)
         if self.try_acquire():
             ev.succeed(self)
         else:
@@ -83,7 +83,6 @@ class Store:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[SimEvent] = deque()
-        self._get_name = f"{name}.get"
 
     def __len__(self) -> int:
         return len(self._items)
@@ -96,14 +95,9 @@ class Store:
         else:
             self._items.append(item)
 
-    def get_nowait(self) -> Any:
-        """Take the oldest item without an event (``IndexError`` when the
-        store is empty)."""
-        return self._items.popleft()
-
     def get(self) -> SimEvent:
         """Request an item; the event fires with the item when available."""
-        ev = self.engine.event(name=self._get_name)
+        ev = SimEvent(self.engine, self.name)
         if self._items:
             ev.succeed(self._items.popleft())
         else:

@@ -56,7 +56,7 @@ def _deliver(
     yield Timeout(latency)
     message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
     if deliver is None:
-        channels.channel(src, dst, tag).store.put(message)
+        channels.channel(src, dst, tag).put(message)
     else:
         deliver(message)
 
@@ -91,7 +91,7 @@ def send(
         yield Timeout(duration)
         message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
         if deliver is None:
-            channels.channel(src, dst, tag).store.put(message)
+            channels.channel(src, dst, tag).put(message)
         else:
             deliver(message)
     else:
@@ -161,10 +161,10 @@ def recv(
     yielding even when it is already queued."""
     chan = channels.channel(src, dst, tag)
     tracing = trace is not None and trace.enabled
-    start = chan.store.engine.now if tracing else 0.0
-    msg = yield Wait(chan.store.get())
+    start = channels.engine.now if tracing else 0.0
+    msg = yield Wait(chan.get())
     if tracing:
-        engine = chan.store.engine
+        engine = channels.engine
         trace.record(
             dst, "idle", f"recv-wait:{tag}", start, engine.now, msg.nbytes,
             src=src,

@@ -40,7 +40,7 @@ class TestSendRecv:
     @pytest.mark.parametrize("dst", [1, 8], ids=["intra-node", "cross-cluster"])
     def test_deliver_callback_replaces_the_channel(self, setup, dst):
         """With ``deliver`` the message arrives at the same instant a
-        channel receiver would see it, and no channel is built."""
+        channel receiver would see it, and no mailbox is filled."""
         engine, fabric, channels = setup
 
         def receiver():
@@ -61,7 +61,7 @@ class TestSendRecv:
         ))
         engine2.run()
         assert arrivals == [(7, proc.done.value)]
-        assert not channels2._channels
+        assert not channels2._queued and not channels2._waiting
 
     def test_intra_node_faster_than_cross_cluster(self, setup):
         engine, fabric, channels = setup

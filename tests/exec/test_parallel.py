@@ -80,3 +80,16 @@ def test_pmap_preserves_order():
 
 def _square(x):
     return x * x
+
+
+def test_isolate_seeds_reseeds_numpy_once_loaded():
+    import numpy as np
+
+    from repro.exec.engine import _isolate_seeds
+
+    digest = SCENARIOS[0].digest()
+    _isolate_seeds(digest)
+    first = np.random.random()
+    np.random.random()
+    _isolate_seeds(digest)
+    assert np.random.random() == first

@@ -104,3 +104,16 @@ def test_numpy_is_imported_at_module_top_only_by_the_numerical_twin():
             if any(name.split(".")[0] == "numpy" for name in names):
                 offenders.append(relative)
     assert offenders == []
+
+
+def test_a_serial_sweep_loads_no_numpy():
+    # the sweep cell reseeds NumPy's global RNG only where NumPy is loaded
+    loaded = loaded_after(
+        "from repro.api import Scenario, sweep\n"
+        "sweep([Scenario(env='ib', nodes=2, gpus_per_node=2, num_layers=4,\n"
+        "                hidden_size=256, num_attention_heads=4,\n"
+        "                seq_length=128, vocab_size=1024, pipeline=2,\n"
+        "                micro_batch_size=1, num_microbatches=2)], jobs=1)"
+    )
+    assert "repro.exec.engine" in loaded  # the probe really swept
+    assert "numpy" not in loaded
