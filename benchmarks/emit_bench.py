@@ -28,10 +28,6 @@ import sys
 from typing import Dict
 
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import HOLMES_BASE
-from repro.bench.scenarios import ethernet_env, homogeneous_env
-from repro.frameworks.base import simulate_framework
-from repro.hardware.nic import NICType
 from repro.obs.report import build_report, validate_report
 from repro.validate.metamorphic import FIDELITY_RTOL
 
@@ -39,11 +35,7 @@ BENCH_SCHEMA = "repro.obs.bench/v1"
 REFERENCE_PATH = os.path.join(os.path.dirname(__file__), "bench_reference.json")
 
 #: The calibrated Table 1 scenarios (paper §4.2): one NIC family per run.
-SCENARIOS = {
-    "ib": lambda nodes: homogeneous_env(nodes, NICType.INFINIBAND),
-    "roce": lambda nodes: homogeneous_env(nodes, NICType.ROCE),
-    "ethernet": ethernet_env,
-}
+SCENARIOS = ("ib", "roce", "ethernet")
 
 
 def run_fidelity_bench(group_id: int = 1) -> Dict[str, object]:
@@ -206,19 +198,17 @@ def run_serve_bench() -> Dict[str, object]:
 
 def run_bench(nodes: int, group_id: int) -> Dict[str, object]:
     """Run every scenario and assemble the BENCH document."""
-    group = PARAM_GROUPS[group_id]
+    from repro.api import Scenario, simulate
+
     cases: Dict[str, object] = {}
-    for name, build in SCENARIOS.items():
-        topology = build(nodes)
-        result = simulate_framework(
-            HOLMES_BASE, topology, group.parallel_for(topology.world_size),
-            group.model, trace_enabled=True,
-        )
+    for name in SCENARIOS:
+        cell = Scenario.from_group(name, nodes, PARAM_GROUPS[group_id])
+        result = simulate(cell)
         scenario = {
             "env": name,
             "nodes": nodes,
             "group": group_id,
-            "world_size": topology.world_size,
+            "world_size": cell.world_size,
         }
         report = build_report(result, scenario=scenario)
         validate_report(report)

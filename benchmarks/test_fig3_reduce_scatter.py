@@ -11,36 +11,22 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import sweep
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_holmes_case
-from repro.bench.scenarios import ethernet_env, homogeneous_env, hybrid2_env
+from repro.bench.runner import case_scenario
 from repro.bench.tables import ascii_bars, format_table
-from repro.hardware.nic import NICType
 
 GROUPS = (1, 2, 3, 4)
 ENVIRONMENTS = ("InfiniBand", "RoCE", "Ethernet", "Hybrid")
 
 
-def make_env(name):
-    if name == "InfiniBand":
-        return homogeneous_env(4, NICType.INFINIBAND)
-    if name == "RoCE":
-        return homogeneous_env(4, NICType.ROCE)
-    if name == "Ethernet":
-        return ethernet_env(4)
-    return hybrid2_env(4)
-
-
 def build_fig3():
-    series = {}
-    for gid in GROUPS:
-        group = PARAM_GROUPS[gid]
-        for env in ENVIRONMENTS:
-            result = run_holmes_case(
-                make_env(env), group, scenario=env, trace_enabled=True
-            )
-            series[(gid, env)] = result.reduce_scatter_time
-    return series
+    keys = [(gid, env) for gid in GROUPS for env in ENVIRONMENTS]
+    results = sweep([
+        case_scenario(env, 4, PARAM_GROUPS[gid], trace_enabled=True)
+        for gid, env in keys
+    ])
+    return {key: result.reduce_scatter_time for key, result in zip(keys, results)}
 
 
 @pytest.mark.benchmark(group="fig3")

@@ -13,51 +13,30 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import sweep
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_holmes_case
-from repro.bench.scenarios import (
-    ethernet_env,
-    homogeneous_env,
-    hybrid2_env,
-    split_env,
-)
+from repro.bench.runner import case_scenario
 from repro.bench.tables import format_table
-from repro.hardware.nic import NICType
 
 GROUPS = (1, 2, 3, 4)
-SCENARIOS = (
-    "InfiniBand",
-    "RoCE",
-    "IB & Ethernet",
-    "RoCE & Ethernet",
-    "Hybrid",
-    "Ethernet",
-)
-
-
-def make_env(name):
-    if name == "InfiniBand":
-        return homogeneous_env(4, NICType.INFINIBAND)
-    if name == "RoCE":
-        return homogeneous_env(4, NICType.ROCE)
-    if name == "IB & Ethernet":
-        return split_env(4, NICType.INFINIBAND)
-    if name == "RoCE & Ethernet":
-        return split_env(4, NICType.ROCE)
-    if name == "Hybrid":
-        return hybrid2_env(4)
-    return ethernet_env(4)
+#: display name -> environment
+SCENARIOS = {
+    "InfiniBand": "ib",
+    "RoCE": "roce",
+    "IB & Ethernet": "split-ib",
+    "RoCE & Ethernet": "split-roce",
+    "Hybrid": "hybrid",
+    "Ethernet": "ethernet",
+}
 
 
 def build_fig4():
-    series = {}
-    for gid in GROUPS:
-        group = PARAM_GROUPS[gid]
-        for scenario in SCENARIOS:
-            series[(gid, scenario)] = run_holmes_case(
-                make_env(scenario), group, scenario=scenario
-            )
-    return series
+    keys = [(gid, scenario) for gid in GROUPS for scenario in SCENARIOS]
+    results = sweep([
+        case_scenario(SCENARIOS[scenario], 4, PARAM_GROUPS[gid])
+        for gid, scenario in keys
+    ])
+    return dict(zip(keys, results))
 
 
 @pytest.mark.benchmark(group="fig4")

@@ -10,33 +10,30 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import Scenario, sweep
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_framework_case
-from repro.bench.scenarios import homogeneous_env, hybrid2_env
 from repro.bench.tables import format_table
-from repro.frameworks.holmes import holmes_ablation
-from repro.hardware.nic import NICType
 
 GROUPS = (1, 2, 3, 4)
 
 #: Both variants keep the overlapped optimizer (the paper's Figure 5 runs
 #: full Holmes and toggles only the partition strategy).
-SELF_ADAPTING = holmes_ablation(self_adapting_partition=True)
-UNIFORM = holmes_ablation(self_adapting_partition=False)
+PARTITIONS = {"self-adapting": "holmes-full", "uniform": "holmes-no-sap"}
+
+
+def cells(env, gids):
+    """Both partition variants of each group on 8 nodes of ``env``."""
+    keys = [(gid, partition) for gid in gids for partition in PARTITIONS]
+    results = sweep([
+        Scenario.from_group(env, 8, PARAM_GROUPS[gid],
+                            framework=PARTITIONS[partition], trace_enabled=False)
+        for gid, partition in keys
+    ])
+    return dict(zip(keys, results))
 
 
 def build_fig5():
-    series = {}
-    for gid in GROUPS:
-        group = PARAM_GROUPS[gid]
-        topo = hybrid2_env(8)
-        series[(gid, "self-adapting")] = run_framework_case(
-            SELF_ADAPTING, topo, group, scenario="hybrid"
-        )
-        series[(gid, "uniform")] = run_framework_case(
-            UNIFORM, topo, group, scenario="hybrid"
-        )
-    return series
+    return cells("hybrid", GROUPS)
 
 
 @pytest.mark.benchmark(group="fig5")
@@ -77,14 +74,8 @@ def test_fig5_partition_homogeneous_control(benchmark, emit):
     """In a homogeneous environment stage speeds are equal, Eq. 2 reduces to
     (nearly) uniform, and the two strategies tie."""
 
-    def build():
-        group = PARAM_GROUPS[3]
-        topo = homogeneous_env(8, NICType.INFINIBAND)
-        sap = run_framework_case(SELF_ADAPTING, topo, group, scenario="ib")
-        uni = run_framework_case(UNIFORM, topo, group, scenario="ib")
-        return sap, uni
-
-    sap, uni = run_once(benchmark, build)
+    series = run_once(benchmark, lambda: cells("ib", [3]))
+    sap, uni = series[(3, "self-adapting")], series[(3, "uniform")]
     emit(
         "fig5_partition_control",
         [f"homogeneous IB control: SAP {sap.tflops:.1f} "

@@ -11,24 +11,21 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import Scenario, sweep
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_framework_case, run_holmes_case
-from repro.bench.scenarios import ethernet_env, hybrid2_env
+from repro.bench.runner import case_scenario
 from repro.bench.tables import ascii_bars, format_table
 from repro.frameworks import FRAMEWORKS
 
 
 def build_fig6():
-    topo = hybrid2_env(8)
     group = PARAM_GROUPS[3]
-    results = {
-        name: run_framework_case(spec, topo, group, scenario="hybrid8")
-        for name, spec in FRAMEWORKS.items()
-    }
-    results["_pure_ethernet_reference"] = run_holmes_case(
-        ethernet_env(8), group, scenario="ethernet"
-    )
-    return results
+    names = list(FRAMEWORKS) + ["_pure_ethernet_reference"]
+    results = sweep([
+        Scenario.from_group("hybrid", 8, group, framework=name, trace_enabled=False)
+        for name in FRAMEWORKS
+    ] + [case_scenario("ethernet", 8, group)])
+    return dict(zip(names, results))
 
 
 @pytest.mark.benchmark(group="fig6")

@@ -10,12 +10,12 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import Scenario, sweep
 from repro.bench.paper_data import FIGURE7_SPEEDUP_BAND
-from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_framework_case
-from repro.bench.scenarios import hybrid2_env, hybrid3_env
+from repro.bench.scenarios import hybrid3_env
 from repro.bench.tables import format_table
 from repro.frameworks import FRAMEWORKS
+from repro.hardware.config_io import topology_to_dict
 from repro.hardware.nic import NICType
 
 #: (group id, node counts) — PG7 needs nodes divisible by 2 (t*p = 16),
@@ -23,26 +23,26 @@ from repro.hardware.nic import NICType
 SCALES = {7: (4, 8), 8: (6, 12)}
 
 
-def topo_for(gid, nodes):
+def cell(gid, nodes, framework):
     if gid == 7:
-        return hybrid2_env(nodes)
+        return Scenario.from_group("hybrid", nodes, gid, framework=framework,
+                                   trace_enabled=False)
     # PG8 (p=3): three clusters, RoCE + IB + IB, equal sizes.
-    return hybrid3_env(
+    machine = topology_to_dict(hybrid3_env(
         [NICType.ROCE, NICType.INFINIBAND, NICType.INFINIBAND], nodes // 3
-    )
+    ))
+    return Scenario.from_group("hybrid3", nodes, gid, framework=framework,
+                               trace_enabled=False, machine=machine)
 
 
 def build_fig7():
-    cells = {}
-    for gid, node_counts in SCALES.items():
-        group = PARAM_GROUPS[gid]
-        for nodes in node_counts:
-            topo = topo_for(gid, nodes)
-            for name, spec in FRAMEWORKS.items():
-                cells[(gid, nodes, name)] = run_framework_case(
-                    spec, topo, group, scenario=f"hybrid-{nodes}n"
-                )
-    return cells
+    keys = [
+        (gid, nodes, name)
+        for gid, node_counts in SCALES.items()
+        for nodes in node_counts
+        for name in FRAMEWORKS
+    ]
+    return dict(zip(keys, sweep([cell(*key) for key in keys])))
 
 
 @pytest.mark.benchmark(group="fig7")

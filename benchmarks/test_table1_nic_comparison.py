@@ -10,26 +10,19 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import sweep
 from repro.bench.paper_data import TABLE1
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_holmes_case
-from repro.bench.scenarios import ethernet_env, homogeneous_env
+from repro.bench.runner import case_scenario
 from repro.bench.tables import format_table, paper_vs_measured
-from repro.hardware.nic import NICType
 
-ENVIRONMENTS = {
-    "InfiniBand": lambda: homogeneous_env(4, NICType.INFINIBAND),
-    "RoCE": lambda: homogeneous_env(4, NICType.ROCE),
-    "Ethernet": lambda: ethernet_env(4),
-}
+ENVIRONMENTS = ("InfiniBand", "RoCE", "Ethernet")
 
 
 def build_table1():
     group = PARAM_GROUPS[1]
-    return {
-        name: run_holmes_case(make(), group, scenario=name)
-        for name, make in ENVIRONMENTS.items()
-    }
+    results = sweep([case_scenario(env, 4, group) for env in ENVIRONMENTS])
+    return dict(zip(ENVIRONMENTS, results))
 
 
 @pytest.mark.benchmark(group="table1")

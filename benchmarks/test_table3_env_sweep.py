@@ -4,8 +4,8 @@ The paper's main result table (48 cells).  The bench regenerates every cell,
 prints paper-vs-measured, asserts the qualitative shapes hold per row block,
 and pins the aggregate residual.
 
-Cells run through the batch executor (:func:`repro.bench.runner.run_batch`
-over :class:`repro.api.Scenario` values), so ``REPRO_BENCH_JOBS=8`` fans
+Cells run through the batch executor (:func:`repro.api.sweep` over
+:class:`repro.api.Scenario` values), so ``REPRO_BENCH_JOBS=8`` fans
 the grid out over worker processes and ``REPRO_BENCH_CACHE=<dir>`` serves
 unchanged cells from the content-addressed result cache — with results
 identical to a serial, uncached run in every case.
@@ -18,9 +18,10 @@ import os
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import sweep
 from repro.bench.paper_data import TABLE3, shapes_hold
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import case_scenario, run_batch
+from repro.bench.runner import case_scenario
 from repro.bench.tables import format_table
 
 GROUPS = (1, 2, 3, 4)
@@ -38,7 +39,7 @@ def build_table3():
     scenarios = [
         case_scenario(env, nodes, PARAM_GROUPS[gid]) for gid, nodes, env in keys
     ]
-    results = run_batch(
+    results = sweep(
         scenarios,
         jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")),
         cache=os.environ.get("REPRO_BENCH_CACHE") or None,

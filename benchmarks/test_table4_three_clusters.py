@@ -12,11 +12,12 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import sweep
 from repro.bench.paper_data import TABLE4
-from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_holmes_case
-from repro.bench.scenarios import ethernet_env, hybrid3_env
+from repro.bench.runner import case_scenario
+from repro.bench.scenarios import hybrid3_env
 from repro.bench.tables import format_table
+from repro.hardware.config_io import topology_to_dict
 from repro.hardware.nic import NICType
 
 R, IB = NICType.ROCE, NICType.INFINIBAND
@@ -32,19 +33,18 @@ ROW_GROUPS = {3: 5, 6: 6}
 
 
 def build_table4():
-    cells = {}
+    keys, scenarios = [], []
     for row_label, gid in ROW_GROUPS.items():
-        group = PARAM_GROUPS[gid]
         for layout_name, (families, nodes_per_cluster) in LAYOUTS.items():
             total_nodes = 3 * nodes_per_cluster
-            cells[(row_label, layout_name, "Hybrid")] = run_holmes_case(
-                hybrid3_env(families, nodes_per_cluster), group,
-                scenario=f"hybrid3-{layout_name}",
-            )
-            cells[(row_label, layout_name, "Ethernet")] = run_holmes_case(
-                ethernet_env(total_nodes), group, scenario="ethernet",
-            )
-    return cells
+            machine = topology_to_dict(hybrid3_env(families, nodes_per_cluster))
+            keys += [(row_label, layout_name, env) for env in ("Hybrid", "Ethernet")]
+            scenarios += [
+                case_scenario(f"hybrid3-{layout_name}", total_nodes, gid,
+                              machine=machine),
+                case_scenario("ethernet", total_nodes, gid),
+            ]
+    return dict(zip(keys, sweep(scenarios)))
 
 
 @pytest.mark.benchmark(group="table4")

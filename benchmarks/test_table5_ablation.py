@@ -12,30 +12,28 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import Scenario, sweep
 from repro.bench.paper_data import TABLE5
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_framework_case
-from repro.bench.scenarios import hybrid2_env
 from repro.bench.tables import format_table, paper_vs_measured
-from repro.frameworks import MEGATRON_LM
-from repro.frameworks.holmes import HOLMES, holmes_ablation
 
+#: Table 5 row -> framework preset
 VARIANTS = {
-    "megatron-lm": MEGATRON_LM,
-    "holmes": HOLMES,
-    "holmes-no-sap": holmes_ablation(self_adapting_partition=False),
-    "holmes-no-overlap": holmes_ablation(overlapped_optimizer=False),
-    "holmes-no-sap-no-overlap": holmes_ablation(False, False),
+    "megatron-lm": "megatron-lm",
+    "holmes": "holmes",
+    "holmes-no-sap": "holmes-no-sap",
+    "holmes-no-overlap": "holmes-no-overlap",
+    "holmes-no-sap-no-overlap": "holmes-base",
 }
 
 
 def build_table5():
-    topo = hybrid2_env(8)
-    group = PARAM_GROUPS[3]
-    return {
-        name: run_framework_case(spec, topo, group, scenario="hybrid8")
-        for name, spec in VARIANTS.items()
-    }
+    results = sweep([
+        Scenario.from_group("hybrid", 8, PARAM_GROUPS[3], framework=framework,
+                            trace_enabled=False)
+        for framework in VARIANTS.values()
+    ])
+    return dict(zip(VARIANTS, results))
 
 
 @pytest.mark.benchmark(group="table5")

@@ -12,36 +12,28 @@ gradients).
 Run:  python examples/cross_cluster_training.py
 """
 
+from repro.api import sweep
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_holmes_case
-from repro.bench.scenarios import (
-    ethernet_env,
-    homogeneous_env,
-    hybrid2_env,
-    split_env,
-)
+from repro.bench.runner import case_scenario
 from repro.bench.tables import format_table
-from repro.hardware.nic import NICType
 
 
 def main() -> None:
     group = PARAM_GROUPS[3]  # 7.5B GPT
     nodes = 4
 
-    scenarios = {
-        "InfiniBand (one cluster, upper bound)": homogeneous_env(
-            nodes, NICType.INFINIBAND
-        ),
-        "RoCE (one cluster)": homogeneous_env(nodes, NICType.ROCE),
-        "IB + IB across Ethernet": split_env(nodes, NICType.INFINIBAND),
-        "RoCE + RoCE across Ethernet": split_env(nodes, NICType.ROCE),
-        "RoCE + IB across Ethernet (hybrid)": hybrid2_env(nodes),
-        "Ethernet only (lower bound)": ethernet_env(nodes),
+    envs = {
+        "InfiniBand (one cluster, upper bound)": "ib",
+        "RoCE (one cluster)": "roce",
+        "IB + IB across Ethernet": "split-ib",
+        "RoCE + RoCE across Ethernet": "split-roce",
+        "RoCE + IB across Ethernet (hybrid)": "hybrid",
+        "Ethernet only (lower bound)": "ethernet",
     }
+    results = sweep([case_scenario(env, nodes, group) for env in envs.values()])
 
     rows = []
-    for label, topology in scenarios.items():
-        result = run_holmes_case(topology, group, scenario=label)
+    for label, result in zip(envs, results):
         rows.append(
             [
                 label,

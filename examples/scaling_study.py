@@ -10,17 +10,14 @@ better than Ethernet.
 
 The sixteen cells are :class:`repro.api.Scenario` values run through the
 batch executor; pass ``jobs=4`` (or a :class:`repro.exec.ResultCache`) to
-:func:`repro.bench.sweep.sweep_scenarios` and the numbers do not change.
+:func:`repro.api.sweep` and the numbers do not change.
 
 Run:  python examples/scaling_study.py
 """
 
+from repro.api import sweep
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.sweep import (
-    node_scaling_scenarios,
-    scaling_efficiency,
-    sweep_scenarios,
-)
+from repro.bench.sweep import node_scaling_scenarios, scaling_efficiency
 from repro.bench.tables import format_table
 
 NODE_COUNTS = (4, 6, 8, 12)
@@ -38,7 +35,7 @@ def main() -> None:
         scenarios = node_scaling_scenarios(
             env_name, NODE_COUNTS, group, full=True
         )
-        results = sweep_scenarios(scenarios)
+        results = sweep(scenarios)
         efficiencies = scaling_efficiency(results)
         efficiency_at_12[env_name] = efficiencies[-1]
         for result, eff in zip(results, efficiencies):

@@ -36,15 +36,20 @@ __version__ = "1.0.0"
 def quick_simulate(topology, group, full: bool = False) -> IterationResult:
     """Simulate one Holmes training iteration of a parameter group.
 
-    ``group`` is a :class:`~repro.bench.paramgroups.ParameterGroup`;
-    ``full=True`` enables the Eq. 2 partition and overlapped optimizer.
+    ``topology`` runs as an inline machine
+    (:func:`repro.hardware.config_io.topology_to_dict`); ``group`` is a
+    :class:`~repro.bench.paramgroups.ParameterGroup`; ``full=True`` enables
+    the Eq. 2 partition and overlapped optimizer.
     """
-    from repro.bench.runner import HOLMES_BASE, HOLMES_FULL
-    from repro.frameworks.base import simulate_framework as _sim
+    from repro import api
+    from repro.hardware.config_io import topology_to_dict
 
-    spec = HOLMES_FULL if full else HOLMES_BASE
-    parallel = group.parallel_for(topology.world_size)
-    return _sim(spec, topology, parallel, group.model)
+    return api.simulate(api.Scenario.from_group(
+        "custom", topology.num_nodes, group,
+        gpus_per_node=topology.gpus_per_node,
+        framework="holmes-full" if full else "holmes-base",
+        machine=topology_to_dict(topology),
+    ))
 
 
 __all__ = [
@@ -61,7 +66,6 @@ __all__ = [
     "FaultPlan",
     "FRAMEWORKS",
     "HOLMES",
-    "simulate_framework",
     "quick_simulate",
 ]
 
@@ -69,7 +73,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.engine": ("IterationResult", "TrainingSimulation"),
     "repro.core.scheduler": ("HolmesScheduler", "TrainingPlan"),
     "repro.faults.plan": ("FaultEvent", "FaultKind", "FaultPlan"),
-    "repro.frameworks.base": ("simulate_framework",),
     "repro.frameworks.holmes": ("HOLMES",),
     "repro.frameworks.registry": ("FRAMEWORKS",),
     "repro.hardware.nic": ("NICType",),

@@ -24,6 +24,7 @@ neither picklable nor cacheable.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
@@ -118,11 +119,12 @@ def _event_from_canonical(data: Mapping[str, object]) -> FaultEvent:
 class Scenario:
     """One complete, deterministic simulation configuration.
 
-    A scenario names the machine (``env``, ``nodes``, ``gpus_per_node``),
-    the model, the parallelism layout, the framework preset whose policies
-    plan and execute it, and any fault/straggler perturbations.  Instances
-    are frozen and hashable; :meth:`canonical` (every field, exact floats)
-    defines identity for the result cache.
+    A scenario names the machine (``env``, ``nodes``, ``gpus_per_node``,
+    or an inline ``machine``), the model, the parallelism layout, the
+    framework preset whose policies plan and execute it, and any
+    fault/straggler perturbations.  Instances are frozen and hashable;
+    :meth:`canonical` (every field, exact floats) defines identity for the
+    result cache.
 
     Derived fields resolve at construction: ``data=0`` means "fill the
     machine" (``world_size / (tensor * pipeline)``) and
@@ -172,14 +174,22 @@ class Scenario:
     #: ``executed`` ones in the result cache.
     fidelity: str = "executed"
     label: str = ""
+    #: an inline machine: a :mod:`repro.hardware.config_io` machine dict,
+    #: held as its canonical JSON text (hashable, exact).  When set it is
+    #: the machine, ``env`` only names it, and ``nodes``/``gpus_per_node``
+    #: must match it; ``None`` builds the named ``env``.
+    machine: Union[str, Mapping[str, object], None] = None
 
     def __post_init__(self) -> None:
-        from repro.validate.scenarios import ENV_BUILDERS
+        if self.machine is not None:
+            self._set_machine()
+        else:
+            from repro.validate.scenarios import ENV_BUILDERS
 
-        if self.env not in ENV_BUILDERS:
-            raise ConfigurationError(
-                f"unknown env {self.env!r}; one of {sorted(ENV_BUILDERS)}"
-            )
+            if self.env not in ENV_BUILDERS:
+                raise ConfigurationError(
+                    f"unknown env {self.env!r}; one of {sorted(ENV_BUILDERS)}"
+                )
         if self.framework not in FRAMEWORK_PRESETS:
             raise ConfigurationError(
                 f"unknown framework {self.framework!r}; "
@@ -266,6 +276,30 @@ class Scenario:
         # fail fast on an impossible layout (divisibility, machine fit)
         self.parallel.validate_against(world, self.gpus_per_node)
 
+    def _set_machine(self) -> None:
+        """Canonicalise the inline machine and check the scenario's shape
+        against it, in O(size of the dict): no node is built here."""
+        from repro.hardware.config_io import canonical_machine, machine_shape
+
+        if not isinstance(self.env, str) or not self.env:
+            raise ConfigurationError(f"env must name the machine: {self.env!r}")
+        data = self.machine
+        if isinstance(data, str):
+            try:
+                data = json.loads(data)
+            except ValueError as exc:
+                raise ConfigurationError(f"machine is not JSON: {exc}") from exc
+        spec = canonical_machine(data)
+        shape = machine_shape(spec)
+        if (self.nodes, self.gpus_per_node) != shape:
+            raise ConfigurationError(
+                f"scenario is {self.nodes}x{self.gpus_per_node} but its "
+                f"machine is {shape[0]}x{shape[1]}"
+            )
+        object.__setattr__(
+            self, "machine", json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        )
+
     # ------------------------------------------------------------------ #
     # derived views
     # ------------------------------------------------------------------ #
@@ -300,10 +334,17 @@ class Scenario:
 
     def topology(self):
         """Materialise the machine (with ``bandwidth_scale`` applied)."""
-        from repro.validate.scenarios import ENV_BUILDERS, scaled_topology
+        if self.machine is not None:
+            from repro.hardware.config_io import topology_from_dict
 
-        topo = ENV_BUILDERS[self.env](self.nodes, self.gpus_per_node)
+            topo = topology_from_dict(json.loads(self.machine))  # type: ignore[arg-type]
+        else:
+            from repro.validate.scenarios import ENV_BUILDERS
+
+            topo = ENV_BUILDERS[self.env](self.nodes, self.gpus_per_node)
         if self.bandwidth_scale != 1.0:
+            from repro.validate.scenarios import scaled_topology
+
             topo = scaled_topology(topo, self.bandwidth_scale)
         return topo
 
@@ -335,8 +376,10 @@ class Scenario:
         change to any knob changes the mapping — and with it the cache
         digest.  ``label`` is provenance, not physics, but is included
         deliberately: a cache hit must reproduce the *entire* RunResult.
+        ``machine`` appears only when set, so env-named scenarios keep
+        their identity.
         """
-        return {
+        canonical: Dict[str, object] = {
             "env": self.env,
             "nodes": self.nodes,
             "gpus_per_node": self.gpus_per_node,
@@ -368,6 +411,9 @@ class Scenario:
             "fidelity": self.fidelity,
             "label": self.label,
         }
+        if self.machine is not None:
+            canonical["machine"] = json.loads(self.machine)  # type: ignore[arg-type]
+        return canonical
 
     def digest(self) -> str:
         """Content digest keying the result cache (salted with the code
@@ -415,6 +461,7 @@ class Scenario:
             tie_embeddings=bool(data["tie_embeddings"]),
             fidelity=str(data.get("fidelity", "executed")),
             label=str(data["label"]),
+            machine=data.get("machine"),  # type: ignore[arg-type]
         )
 
     # ------------------------------------------------------------------ #
@@ -563,7 +610,7 @@ class RunResult:
             raise SchemaError(f"run result payload: {exc}") from exc
 
     def row(self) -> Dict[str, object]:
-        """Compact display row (mirrors ``CaseResult.row``)."""
+        """Compact display row for tables."""
         return {
             "scenario": self.scenario,
             "framework": self.framework,

@@ -1,4 +1,4 @@
-"""Benchmark support: parameter groups, NIC scenarios, runners, calibration.
+"""Benchmark support: parameter groups, NIC scenarios, table cells, calibration.
 
 Everything the ``benchmarks/`` tree uses to regenerate the paper's tables
 and figures lives here, so the benchmark files themselves stay declarative.
@@ -14,9 +14,7 @@ __all__ = [
     "hybrid2_env",
     "hybrid3_env",
     "split_env",
-    "run_framework_case",
-    "run_holmes_case",
-    "CaseResult",
+    "case_scenario",
     "format_table",
     "format_row",
 ]
@@ -30,6 +28,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "hybrid3_env",
         "split_env",
     ),
-    "repro.bench.runner": ("run_framework_case", "run_holmes_case", "CaseResult"),
+    "repro.bench.runner": ("case_scenario",),
     "repro.bench.tables": ("format_table", "format_row"),
 })

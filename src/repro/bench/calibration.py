@@ -29,29 +29,14 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.bench.paper_data import TABLE3
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_holmes_case
-from repro.bench.scenarios import ethernet_env, homogeneous_env, hybrid2_env
+from repro.bench.runner import case_scenario
 from repro.errors import CalibrationError
-from repro.hardware.nic import NICType
-from repro.network.costmodel import CostModelConfig
 
 #: The Table 3 cells used as calibration anchors (all of them).
 ANCHOR_KEYS: Tuple[Tuple[int, int, str], ...] = tuple(sorted(TABLE3.keys()))
 
 #: Maximum acceptable mean relative TFLOPS error for the shipped defaults.
 ACCEPTABLE_MEAN_ERROR = 0.08
-
-
-def _environment(name: str, nodes: int):
-    if name == "InfiniBand":
-        return homogeneous_env(nodes, NICType.INFINIBAND)
-    if name == "RoCE":
-        return homogeneous_env(nodes, NICType.ROCE)
-    if name == "Ethernet":
-        return ethernet_env(nodes)
-    if name == "Hybrid":
-        return hybrid2_env(nodes)
-    raise CalibrationError(f"unknown environment {name!r}")
 
 
 @dataclass(frozen=True)
@@ -88,21 +73,17 @@ class CalibrationReport:
 
 
 def evaluate_against_table3(
-    cost_config: Optional[CostModelConfig] = None,
     keys: Optional[Iterable[Tuple[int, int, str]]] = None,
 ) -> CalibrationReport:
     """Run the simulator over the anchor cells and report residuals."""
+    from repro.api import run
+
     residuals: List[CellResidual] = []
     for group, nodes, env in keys or ANCHOR_KEYS:
         paper_tflops, _ = TABLE3[(group, nodes, env)]
         if paper_tflops is None:
             continue
-        result = run_holmes_case(
-            _environment(env, nodes),
-            PARAM_GROUPS[group],
-            scenario=env,
-            cost_config=cost_config,
-        )
+        result = run(case_scenario(env, nodes, PARAM_GROUPS[group]))
         residuals.append(
             CellResidual(
                 group=group,

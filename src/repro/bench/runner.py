@@ -1,4 +1,4 @@
-"""Experiment runner: one call per (scenario, parameter group, framework).
+"""Paper-table cells as :class:`repro.api.Scenario` values.
 
 Holmes's Table 1/3/4 and Figure 3/4 rows run the *base* Holmes
 configuration — Cross-Cluster Pipeline Parallelism and Automatic NIC
@@ -11,19 +11,13 @@ optimizer, as stated in §4.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Union
 
-from repro.frameworks.base import FrameworkSpec, simulate_framework
 from repro.frameworks.holmes import HOLMES, holmes_ablation
 from repro.bench.paramgroups import ParameterGroup
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.api import RunResult, Scenario
-    from repro.core.engine import IterationResult
-    from repro.exec.cache import ResultCache
-    from repro.hardware.topology import ClusterTopology
-    from repro.network.costmodel import CostModelConfig
+    from repro.api import Scenario
 
 #: display spellings used by the paper tables -> canonical ``Scenario.env``
 ENV_ALIASES: Dict[str, str] = {
@@ -40,68 +34,6 @@ HOLMES_BASE = holmes_ablation(self_adapting_partition=False, overlapped_optimize
 HOLMES_FULL = HOLMES
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    """One experiment cell: metrics plus provenance."""
-
-    scenario: str
-    framework: str
-    group_id: int
-    num_gpus: int
-    tflops: float
-    throughput: float
-    iteration_time: float
-    reduce_scatter_time: float
-    dp_rdma_fraction: float
-
-    def row(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "framework": self.framework,
-            "group": self.group_id,
-            "gpus": self.num_gpus,
-            "TFLOPS": round(self.tflops),
-            "throughput": round(self.throughput, 2),
-        }
-
-
-def run_framework_case(
-    spec: FrameworkSpec,
-    topology: ClusterTopology,
-    group: ParameterGroup,
-    scenario: str = "",
-    cost_config: Optional[CostModelConfig] = None,
-    trace_enabled: bool = False,
-    fidelity: str = "executed",
-) -> CaseResult:
-    """Simulate one cell and summarise it."""
-    parallel = group.parallel_for(topology.world_size)
-    result = simulate_framework(
-        spec, topology, parallel, group.model,
-        cost_config=cost_config, trace_enabled=trace_enabled,
-        fidelity=fidelity,
-    )
-    return summarize(result, scenario, spec.name, group.group_id)
-
-
-def run_holmes_case(
-    topology: ClusterTopology,
-    group: ParameterGroup,
-    scenario: str = "",
-    full: bool = False,
-    cost_config: Optional[CostModelConfig] = None,
-    trace_enabled: bool = False,
-    fidelity: str = "executed",
-) -> CaseResult:
-    """Simulate Holmes (base or full configuration) on one cell."""
-    spec = HOLMES_FULL if full else HOLMES_BASE
-    return run_framework_case(
-        spec, topology, group, scenario=scenario,
-        cost_config=cost_config, trace_enabled=trace_enabled,
-        fidelity=fidelity,
-    )
-
-
 def case_scenario(
     env: str,
     nodes: int,
@@ -114,7 +46,7 @@ def case_scenario(
 
     ``env`` accepts both the canonical short names (``ib``, ``hybrid``,
     ...) and the tables' display spellings (``InfiniBand``, ``Hybrid``).
-    Tracing defaults off, matching :func:`run_holmes_case`.
+    Tracing defaults off: table cells need only the headline metrics.
     """
     from repro.api import Scenario
 
@@ -127,51 +59,4 @@ def case_scenario(
         gpus_per_node=gpus_per_node,
         framework=framework,
         **overrides,
-    )
-
-
-def run_batch(
-    scenarios: Sequence["Scenario"],
-    jobs: int = 1,
-    cache: Union["ResultCache", str, None] = None,
-    *,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    on_error: str = "raise",
-    resume: bool = False,
-    journal: Union[str, None] = None,
-) -> List["RunResult"]:
-    """Run experiment cells through the batch executor
-    (:func:`repro.api.sweep`): parallel workers and the result cache with
-    serial-identical results.  This is the path the paper-table benchmarks
-    and ``repro bench`` use.  The resilience knobs (per-cell ``timeout``,
-    bounded ``retries``, ``on_error="collect"`` quarantine, journal-backed
-    ``resume``) pass straight through to the executor."""
-    from repro.api import sweep
-
-    return sweep(
-        scenarios,
-        jobs=jobs,
-        cache=cache,
-        timeout=timeout,
-        retries=retries,
-        on_error=on_error,
-        resume=resume,
-        journal=journal,
-    )
-
-
-def summarize(
-    result: IterationResult, scenario: str, framework: str, group_id: int
-) -> CaseResult:
-    return CaseResult(
-        scenario=scenario,
-        framework=framework,
-        group_id=group_id,
-        num_gpus=result.plan.topology.world_size,
-        tflops=result.tflops,
-        throughput=result.throughput,
-        iteration_time=result.iteration_time,
-        reduce_scatter_time=result.reduce_scatter_time(),
-        dp_rdma_fraction=result.audit.dp_rdma_fraction,
     )

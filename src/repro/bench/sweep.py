@@ -1,66 +1,20 @@
-"""Generic sweep utility: run one configuration across an axis of machines
-or models and collect comparable rows.
+"""Node-scaling axes as scenarios, and their scaling efficiency.
 
 Backs the scaling-study example and gives downstream users a one-call way
-to produce Table-3-style grids for their own models.  Scenario-based
-sweeps (:func:`sweep_scenarios`) ride the batch executor — parallel
-workers and the result cache — while :func:`sweep_machines` remains the
-direct path for ad-hoc topologies the named environments cannot express.
+to produce Table-3-style grids for their own models; the scenarios run
+through :func:`repro.api.sweep` (parallel workers, the result cache).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Sequence, Union
 
-from repro.bench.runner import CaseResult, case_scenario, run_framework_case
+from repro.bench.runner import case_scenario
 from repro.errors import ConfigurationError
-from repro.frameworks.base import FrameworkSpec
 from repro.bench.paramgroups import ParameterGroup
-from repro.hardware.topology import ClusterTopology
-from repro.network.costmodel import CostModelConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import RunResult, Scenario
-    from repro.exec.cache import ResultCache
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep coordinate: a label and the machine it denotes."""
-
-    label: str
-    topology: ClusterTopology
-
-
-def sweep_machines(
-    spec: FrameworkSpec,
-    points: Sequence[SweepPoint],
-    group: ParameterGroup,
-    cost_config: Optional[CostModelConfig] = None,
-) -> List[CaseResult]:
-    """Run one framework + parameter group across machines."""
-    if not points:
-        raise ConfigurationError("sweep needs at least one point")
-    return [
-        run_framework_case(
-            spec, point.topology, group, scenario=point.label,
-            cost_config=cost_config,
-        )
-        for point in points
-    ]
-
-
-def node_scaling_points(
-    make_env: Callable[[int], ClusterTopology], node_counts: Sequence[int]
-) -> List[SweepPoint]:
-    """Sweep points over node counts for one environment builder."""
-    if not node_counts:
-        raise ConfigurationError("need at least one node count")
-    return [
-        SweepPoint(label=f"{n} nodes", topology=make_env(n))
-        for n in node_counts
-    ]
 
 
 def node_scaling_scenarios(
@@ -70,8 +24,7 @@ def node_scaling_scenarios(
     full: bool = False,
     gpus_per_node: int = 8,
 ) -> List["Scenario"]:
-    """Scenario-based node-scaling axis for one named environment (the
-    cacheable counterpart of :func:`node_scaling_points`)."""
+    """Scenario-based node-scaling axis for one named environment."""
     if not node_counts:
         raise ConfigurationError("need at least one node count")
     return [
@@ -80,41 +33,18 @@ def node_scaling_scenarios(
     ]
 
 
-def sweep_scenarios(
-    scenarios: Sequence["Scenario"],
-    jobs: int = 1,
-    cache: Union["ResultCache", str, None] = None,
-) -> List["RunResult"]:
-    """Run a scenario axis through the batch executor; results in input
-    order, identical for any (jobs, cache) combination."""
-    if not scenarios:
-        raise ConfigurationError("sweep needs at least one scenario")
-    from repro.api import sweep as api_sweep
-
-    return api_sweep(scenarios, jobs=jobs, cache=cache)
-
-
-def _gpus_of(result) -> int:
-    """GPU count of either result flavour (``CaseResult.num_gpus`` /
-    ``RunResult.world_size``)."""
-    return getattr(result, "num_gpus", None) or result.world_size
-
-
-def scaling_efficiency(results: Sequence) -> List[float]:
+def scaling_efficiency(results: Sequence["RunResult"]) -> List[float]:
     """Throughput scaling efficiency relative to the first point.
 
     efficiency[i] = (throughput_i / throughput_0) / (gpus_i / gpus_0);
-    1.0 is perfect linear scaling.  Accepts :class:`CaseResult` and
-    :class:`repro.api.RunResult` rows alike.
+    1.0 is perfect linear scaling.
     """
     if not results:
         raise ConfigurationError("no results to analyse")
     base = results[0]
-    if base.throughput <= 0 or _gpus_of(base) <= 0:
+    if base.throughput <= 0 or base.world_size <= 0:
         raise ConfigurationError("degenerate base point")
-    out = []
-    for r in results:
-        speedup = r.throughput / base.throughput
-        scale = _gpus_of(r) / _gpus_of(base)
-        out.append(speedup / scale)
-    return out
+    return [
+        (r.throughput / base.throughput) / (r.world_size / base.world_size)
+        for r in results
+    ]

@@ -1,11 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Named-environment runs construct :class:`repro.api.Scenario` values and go
-through the unified run surface (:func:`repro.api.run` /
-:func:`repro.api.sweep`); ``--machine FILE`` runs use the direct engine
-path, since ad-hoc machines have no canonical scenario name.  The full
-command list with one-line descriptions is in :data:`COMMANDS` (and in
-``python -m repro --help``).
+Every run constructs a :class:`repro.api.Scenario` and goes through the
+unified run surface (:func:`repro.api.run` / :func:`repro.api.sweep` /
+:func:`repro.api.simulate`): ``--env``/``--nodes`` name a paper machine,
+``--machine FILE`` carries a JSON machine inline (``Scenario.machine``).
+The full command list with one-line descriptions is in :data:`COMMANDS`
+(and in ``python -m repro --help``).
 """
 
 from __future__ import annotations
@@ -43,31 +43,6 @@ COMMANDS: Dict[str, str] = {
 }
 
 
-def build_environment(name: str, nodes: int):
-    """Materialise a named NIC environment."""
-    from repro.bench.scenarios import (
-        ethernet_env,
-        homogeneous_env,
-        hybrid2_env,
-        split_env,
-    )
-    from repro.hardware.nic import NICType
-
-    if name == "ib":
-        return homogeneous_env(nodes, NICType.INFINIBAND)
-    if name == "roce":
-        return homogeneous_env(nodes, NICType.ROCE)
-    if name == "ethernet":
-        return ethernet_env(nodes)
-    if name == "hybrid":
-        return hybrid2_env(nodes)
-    if name == "split-ib":
-        return split_env(nodes, NICType.INFINIBAND)
-    if name == "split-roce":
-        return split_env(nodes, NICType.ROCE)
-    raise SystemExit(f"unknown environment {name!r}")
-
-
 def _parse_fidelity(value: str) -> str:
     """Validate a ``--fidelity`` value, exiting 2 with a close-match hint
     on anything that is not a known tier."""
@@ -100,55 +75,68 @@ def _add_fidelity_arg(parser: argparse.ArgumentParser, what: str) -> None:
     )
 
 
+def _machine_file(path: str) -> dict:
+    """``--machine FILE``: the file's machine as a canonical dict."""
+    import json
+
+    from repro.hardware.config_io import canonical_machine
+
+    try:
+        with open(path) as fh:
+            return canonical_machine(json.load(fh))
+    except (OSError, ValueError, ConfigurationError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot load machine file {path}: {exc}")
+
+
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=4,
                         help="total node count (default 4)")
     parser.add_argument("--env", choices=ENV_CHOICES, default="hybrid",
                         help="NIC environment (default hybrid)")
-    parser.add_argument("--machine", metavar="FILE", default=None,
+    parser.add_argument("--machine", metavar="FILE", type=_machine_file,
+                        dest="inline_machine", default=None,
                         help="JSON machine file (overrides --nodes/--env)")
 
 
-def resolve_machine(args: argparse.Namespace):
-    """Machine from ``--machine FILE`` if given, else the named scenario."""
-    if getattr(args, "machine", None):
-        from repro.hardware.config_io import load_topology
+def _machine_scenario(args: argparse.Namespace, group=None, **overrides):
+    """The scenario a machine-taking command runs: the named ``--env`` /
+    ``--nodes`` machine, or the ``--machine FILE`` machine inline under env
+    ``custom``.  ``group`` (a Table 2 parameter group) fills the model and
+    layout; without one the scenario only describes the machine."""
+    from repro.api import Scenario
 
-        return load_topology(args.machine)
-    return build_environment(args.env, args.nodes)
+    machine = args.inline_machine
+    env, nodes, gpus_per_node = args.env, args.nodes, 8
+    if machine is not None:
+        from repro.hardware.config_io import machine_shape
+
+        env = "custom"
+        nodes, gpus_per_node = machine_shape(machine)
+    try:
+        if group is None:
+            return Scenario(env=env, nodes=nodes, gpus_per_node=gpus_per_node,
+                            machine=machine, **overrides)
+        return Scenario.from_group(env, nodes, group, gpus_per_node=gpus_per_node,
+                                   machine=machine, **overrides)
+    except ConfigurationError as exc:
+        raise SystemExit(f"repro: {exc}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.api import run
+
     group = PARAM_GROUPS[args.group]
-    fidelity = _parse_fidelity(args.fidelity)
-    if args.machine:
-        if getattr(args, "json", False):
-            raise SystemExit(
-                "repro: --json emits the repro.api.result/v1 wire document, "
-                "which is defined for named scenarios only — drop --machine"
-            )
-        from repro.bench.runner import run_holmes_case
-
-        topology = resolve_machine(args)
-        result = run_holmes_case(
-            topology, group, scenario=args.env, full=not args.base,
-            fidelity=fidelity,
-        )
-        print(topology.describe())
-    else:
-        from repro.api import run
-        from repro.bench.runner import case_scenario
-
-        scenario = case_scenario(
-            args.env, args.nodes, group, full=not args.base, fidelity=fidelity
-        )
-        print(scenario.topology().describe())
-        result = run(scenario)
-    if getattr(args, "json", False):
+    scenario = _machine_scenario(
+        args, group, framework="holmes-base" if args.base else "holmes-full",
+        trace_enabled=False, fidelity=_parse_fidelity(args.fidelity),
+    )
+    result = run(scenario)
+    if args.json:
         import json
 
         print(json.dumps(result.to_document(), indent=2, sort_keys=True))
         return 0
+    print(scenario.topology().describe())
     print(f"model: {group.model.describe()}")
     print(f"TFLOPS/GPU:  {result.tflops:.1f}")
     print(f"throughput:  {result.throughput:.2f} samples/s")
@@ -158,30 +146,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.api import sweep
     from repro.bench.tables import format_table
     from repro.frameworks import FRAMEWORKS
 
     group = PARAM_GROUPS[args.group]
-    rows = []
-    if args.machine:
-        from repro.bench.runner import run_framework_case
-
-        topology = resolve_machine(args)
-        for name, spec in FRAMEWORKS.items():
-            result = run_framework_case(spec, topology, group, scenario=args.env)
-            rows.append([name, round(result.tflops), round(result.throughput, 2)])
-    else:
-        from repro.api import Scenario, sweep
-
-        names = sorted(FRAMEWORKS)
-        scenarios = [
-            Scenario.from_group(
-                args.env, args.nodes, group, framework=name, trace_enabled=False
-            )
-            for name in names
-        ]
-        for name, result in zip(names, sweep(scenarios, jobs=args.jobs)):
-            rows.append([name, round(result.tflops), round(result.throughput, 2)])
+    names = sorted(FRAMEWORKS)
+    scenarios = [
+        _machine_scenario(args, group, framework=name, trace_enabled=False)
+        for name in names
+    ]
+    rows = [
+        [name, round(result.tflops), round(result.throughput, 2)]
+        for name, result in zip(names, sweep(scenarios, jobs=args.jobs))
+    ]
     rows.sort(key=lambda r: -r[1])
     print(format_table(["Framework", "TFLOPS", "samples/s"], rows))
     return 0
@@ -281,7 +259,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
-    topology = resolve_machine(args)
+    topology = _machine_scenario(args).topology()
     print(topology.describe())
     if args.save:
         from repro.hardware.config_io import dump_topology
@@ -292,16 +270,12 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.bench.runner import HOLMES_FULL
-    from repro.frameworks.base import simulate_framework
+    from repro.api import simulate
     from repro.simcore.chrome_trace import default_rank_names, export_chrome_trace
 
-    topology = resolve_machine(args)
-    group = PARAM_GROUPS[args.group]
-    parallel = group.parallel_for(topology.world_size)
-    result = simulate_framework(
-        HOLMES_FULL, topology, parallel, group.model, trace_enabled=True
-    )
+    result = simulate(_machine_scenario(
+        args, PARAM_GROUPS[args.group], framework="holmes-full"
+    ))
     with open(args.output, "w") as fh:
         export_chrome_trace(
             result.trace, fh, rank_names=default_rank_names(result.plan)
@@ -340,9 +314,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.network.fabric import Fabric
     from repro.units import GB
 
-    topology = resolve_machine(args)
     group = PARAM_GROUPS[args.group]
-    parallel = group.parallel_for(topology.world_size)
+    scenario = _machine_scenario(args, group)
+    topology, parallel = scenario.topology(), scenario.parallel
     plan = HolmesScheduler().plan(topology, parallel, group.model)
     print(plan.describe())
 
@@ -417,68 +391,34 @@ def _parse_fault_event(spec: str):
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Simulate one iteration healthy, then again under a fault plan."""
-    from repro.faults import FaultPlan
+    import dataclasses
+
+    from repro import api
 
     group = PARAM_GROUPS[args.group]
     events = tuple(_parse_fault_event(s) for s in args.event or ())
     if not events and not args.random_events:
         raise SystemExit("no faults given: use --event and/or --random N")
 
-    if args.machine:
-        # ad-hoc machine: direct engine path
-        from repro.core.engine import TrainingSimulation
-        from repro.core.scheduler import HolmesScheduler
-
-        topology = resolve_machine(args)
-        parallel = group.parallel_for(topology.world_size)
-        plan = HolmesScheduler().plan(topology, parallel, group.model)
-        healthy = TrainingSimulation(plan, group.model).run()
-        if args.random_events:
-            horizon = args.horizon if args.horizon else healthy.iteration_time
-            fault_plan = FaultPlan.random(
-                topology, horizon=horizon, seed=args.seed,
-                num_events=args.random_events,
-            ).extended(events)
-        else:
-            fault_plan = FaultPlan(events=events)
-        try:
-            fault_plan.validate_against(topology)
-        except ConfigurationError as exc:
-            raise SystemExit(f"fault plan does not fit this machine: {exc}")
-        print(topology.describe())
-        print(f"model: {group.model.describe()}\n")
-        print(fault_plan.describe())
-        result = TrainingSimulation(plan, group.model, fault_plan=fault_plan).run()
-    else:
-        import dataclasses
-
-        from repro import api
-        from repro.bench.runner import ENV_ALIASES
-
-        base = api.Scenario.from_group(
-            ENV_ALIASES.get(args.env, args.env), args.nodes, group,
-            framework="holmes-no-overlap",
-        )
-        topology = base.topology()
-        healthy = api.simulate(base)
-        faulted = dataclasses.replace(
-            base,
-            fault_events=events,
-            fault_seed=args.seed if args.random_events else None,
-            fault_count=args.random_events,
-            fault_horizon=(
-                args.horizon if args.horizon else healthy.iteration_time
-            ),
-        )
-        try:
-            fault_plan = faulted.fault_plan(topology)
-            fault_plan.validate_against(topology)
-        except ConfigurationError as exc:
-            raise SystemExit(f"fault plan does not fit this machine: {exc}")
-        print(topology.describe())
-        print(f"model: {group.model.describe()}\n")
-        print(fault_plan.describe())
-        result = api.simulate(faulted)
+    base = _machine_scenario(args, group, framework="holmes-no-overlap")
+    topology = base.topology()
+    healthy = api.simulate(base)
+    faulted = dataclasses.replace(
+        base,
+        fault_events=events,
+        fault_seed=args.seed if args.random_events else None,
+        fault_count=args.random_events,
+        fault_horizon=args.horizon if args.horizon else healthy.iteration_time,
+    )
+    try:
+        fault_plan = faulted.fault_plan(topology)
+        fault_plan.validate_against(topology)
+    except ConfigurationError as exc:
+        raise SystemExit(f"fault plan does not fit this machine: {exc}")
+    print(topology.describe())
+    print(f"model: {group.model.describe()}\n")
+    print(fault_plan.describe())
+    result = api.simulate(faulted)
     print(f"\nhealthy: {healthy.metrics}")
     print(f"faulted: {result.metrics}")
     slowdown = result.iteration_time / healthy.iteration_time
@@ -533,45 +473,23 @@ def cmd_profile(args: argparse.Namespace) -> int:
     counter tracks and fault markers."""
     import json
 
+    from repro import api
     from repro.obs.report import build_report, render_report, validate_report
     from repro.obs.timeline import utilization_counter_events
 
     group = PARAM_GROUPS[args.group]
     events = tuple(_parse_fault_event(s) for s in args.event or ())
 
-    if args.machine:
-        from repro.core.engine import TrainingSimulation
-        from repro.core.scheduler import HolmesScheduler
-        from repro.faults import FaultPlan
-
-        topology = resolve_machine(args)
-        parallel = group.parallel_for(topology.world_size)
-        plan = HolmesScheduler().plan(topology, parallel, group.model)
-        fault_plan = None
-        if events:
-            fault_plan = FaultPlan(events=events)
-            try:
-                fault_plan.validate_against(topology)
-            except ConfigurationError as exc:
-                raise SystemExit(f"fault plan does not fit this machine: {exc}")
-        result = TrainingSimulation(
-            plan, group.model, fault_plan=fault_plan
-        ).run()
-    else:
-        from repro import api
-        from repro.bench.runner import ENV_ALIASES
-
-        scenario = api.Scenario.from_group(
-            ENV_ALIASES.get(args.env, args.env), args.nodes, group,
-            framework="holmes-no-overlap", fault_events=events,
-        )
-        topology = scenario.topology()
-        if events:
-            try:
-                scenario.fault_plan(topology).validate_against(topology)
-            except ConfigurationError as exc:
-                raise SystemExit(f"fault plan does not fit this machine: {exc}")
-        result = api.simulate(scenario)
+    scenario = _machine_scenario(
+        args, group, framework="holmes-no-overlap", fault_events=events
+    )
+    topology = scenario.topology()
+    if events:
+        try:
+            scenario.fault_plan(topology).validate_against(topology)
+        except ConfigurationError as exc:
+            raise SystemExit(f"fault plan does not fit this machine: {exc}")
+    result = api.simulate(scenario)
     plan = result.plan
 
     trace_path = args.trace
@@ -595,14 +513,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 extra_events=counters,
             )
 
-    scenario = {
-        "env": args.env if not args.machine else "custom",
+    summary = {
+        "env": scenario.env,
         "nodes": topology.num_nodes,
         "group": args.group,
         "world_size": topology.world_size,
         "faulted": bool(events),
     }
-    report = build_report(result, scenario=scenario, trace_path=trace_path)
+    report = build_report(result, scenario=summary, trace_path=trace_path)
     validate_report(report)
     if args.out:
         with open(args.out, "w") as fh:

@@ -18,8 +18,6 @@ from typing import List
 
 from repro.bench.paramgroups import ParameterGroup
 from repro.errors import ConfigurationError
-from repro.frameworks.base import simulate_framework
-from repro.frameworks.holmes import HOLMES
 from repro.hardware.cluster import Cluster
 from repro.hardware.nic import NICType
 from repro.hardware.node import Node
@@ -94,31 +92,41 @@ def upgrade_cluster_nic(
 def advise_upgrades(
     topology: ClusterTopology,
     group: ParameterGroup,
-    spec=HOLMES,
+    framework: str = "holmes",
 ) -> List[UpgradeOption]:
-    """Evaluate every single-cluster upgrade; returns options sorted by
-    throughput gain (best first)."""
-    parallel = group.parallel_for(topology.world_size)
-    baseline = simulate_framework(
-        spec, topology, parallel, group.model, trace_enabled=False
-    ).throughput
+    """Evaluate every single-cluster upgrade in one :func:`repro.api.sweep`
+    over the upgraded machines; returns options sorted by throughput gain
+    (best first).  ``framework`` names a :data:`repro.api.FRAMEWORK_PRESETS`
+    entry."""
+    from repro import api
+    from repro.hardware.config_io import topology_to_dict
 
-    options: List[UpgradeOption] = []
-    for cluster in topology.clusters:
-        for target in _UPGRADES[cluster.nic_type]:
-            upgraded_topo = upgrade_cluster_nic(
-                topology, cluster.cluster_id, target
-            )
-            upgraded = simulate_framework(
-                spec, upgraded_topo, parallel, group.model, trace_enabled=False
-            ).throughput
-            options.append(
-                UpgradeOption(
-                    cluster_id=cluster.cluster_id,
-                    from_family=cluster.nic_type,
-                    to_family=target,
-                    baseline_throughput=baseline,
-                    upgraded_throughput=upgraded,
-                )
-            )
+    upgrades = [
+        (cluster, target)
+        for cluster in topology.clusters
+        for target in _UPGRADES[cluster.nic_type]
+    ]
+    machines = [topology] + [
+        upgrade_cluster_nic(topology, cluster.cluster_id, target)
+        for cluster, target in upgrades
+    ]
+    scenarios = [
+        api.Scenario.from_group(
+            "custom", topology.num_nodes, group,
+            gpus_per_node=topology.gpus_per_node, framework=framework,
+            trace_enabled=False, machine=topology_to_dict(machine),
+        )
+        for machine in machines
+    ]
+    baseline, *upgraded = (r.throughput for r in api.sweep(scenarios))
+    options = [
+        UpgradeOption(
+            cluster_id=cluster.cluster_id,
+            from_family=cluster.nic_type,
+            to_family=target,
+            baseline_throughput=baseline,
+            upgraded_throughput=throughput,
+        )
+        for (cluster, target), throughput in zip(upgrades, upgraded)
+    ]
     return sorted(options, key=lambda o: -o.upgraded_throughput)

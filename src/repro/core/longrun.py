@@ -257,7 +257,7 @@ def degraded_throughput_fractions(
             topology, failed, model, global_batch_size, micro_batch_size,
             **kwargs,
         )
-        throughput = candidates[0].result.metrics.throughput if candidates else 0.0
+        throughput = candidates[0].throughput if candidates else 0.0
         if baseline is None:
             baseline = throughput
         fractions[k] = throughput / baseline if baseline > 0 else 0.0

@@ -24,7 +24,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "FrameworkSpec",
-    "simulate_framework",
     "HOLMES",
     "holmes_ablation",
     "MEGATRON_LM",
@@ -34,7 +33,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.frameworks.base": ("FrameworkSpec", "simulate_framework"),
+    "repro.frameworks.base": ("FrameworkSpec",),
     "repro.frameworks.holmes": ("HOLMES", "holmes_ablation"),
     "repro.frameworks.megatron_lm": ("MEGATRON_LM",),
     "repro.frameworks.megatron_deepspeed": ("MEGATRON_DEEPSPEED",),

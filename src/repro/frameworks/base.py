@@ -1,18 +1,14 @@
-"""The framework-preset abstraction and its runner."""
+"""The framework-preset abstraction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.optimizer import OptimizerStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.engine import IterationResult
     from repro.hardware.topology import ClusterTopology
-    from repro.model.config import GPTConfig
-    from repro.network.costmodel import CostModelConfig
-    from repro.parallel.degrees import ParallelConfig
 
 
 @dataclass(frozen=True)
@@ -39,41 +35,3 @@ def environment_is_heterogeneous(topology: ClusterTopology) -> bool:
         for n in range(topology.num_nodes)
     }
     return len(families) > 1
-
-
-def simulate_framework(
-    spec: FrameworkSpec,
-    topology: ClusterTopology,
-    parallel: ParallelConfig,
-    model: GPTConfig,
-    schedule: str = "1f1b",
-    num_chunks: int = 1,
-    cost_config: Optional[CostModelConfig] = None,
-    trace_enabled: bool = True,
-    fidelity: str = "executed",
-) -> IterationResult:
-    """Plan and simulate one training iteration under a framework preset."""
-    from repro.core.engine import TrainingSimulation
-    from repro.core.scheduler import HolmesScheduler
-
-    scheduler = HolmesScheduler(alpha=spec.alpha)
-    plan = scheduler.plan(
-        topology,
-        parallel,
-        model,
-        placement_strategy=spec.placement_strategy,
-        partition_strategy=spec.partition_strategy,
-    )
-    force_ethernet = (not spec.nic_aware) and environment_is_heterogeneous(topology)
-    sim = TrainingSimulation(
-        plan,
-        model,
-        optimizer=spec.optimizer,
-        schedule=schedule,
-        num_chunks=num_chunks,
-        cost_config=cost_config,
-        force_ethernet=force_ethernet,
-        trace_enabled=trace_enabled,
-        fidelity=fidelity,
-    )
-    return sim.run()

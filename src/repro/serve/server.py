@@ -68,15 +68,16 @@ from repro.api.schema import (
 from repro.serve.queue import Job, JobQueue, QueueRejection
 
 #: What a served run executes, imported when the service is built so that
-#: no request pays a first-use import (package roots are lazy).  NumPy is
-#: the executor's per-scenario reseed of the process-global RNGs.
+#: no request pays a first-use import (package roots are lazy).  The
+#: machine codec validates inline machines in request bodies.  NumPy is
+#: left out: only seeded random faults and the numerical twin load it.
 RUN_PATH_MODULES = (
     "repro.api",
     "repro.core.engine",
     "repro.exec.engine",
+    "repro.hardware.config_io",
     "repro.obs.flight",
     "repro.validate.replay",
-    "numpy",
 )
 
 #: request-latency buckets (seconds): sub-millisecond cache hits through

@@ -1,24 +1,43 @@
-"""The api surface reproduces the legacy entry points byte-for-byte."""
+"""Every way of describing a scenario drives the engine identically."""
+
+import dataclasses
 
 from repro.api import RunResult, Scenario, run, simulate
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import case_scenario, run_holmes_case
+from repro.bench.runner import case_scenario
+from repro.hardware.config_io import topology_to_dict
 from repro.validate.replay import fingerprint
 from repro.validate.scenarios import ENV_BUILDERS, sample_scenarios
 
+#: an env-named scenario's canonical keys: ``machine`` appears only when set
+ENV_NAMED_KEYS = {
+    "env", "nodes", "gpus_per_node", "num_layers", "hidden_size",
+    "num_attention_heads", "seq_length", "vocab_size", "tensor", "pipeline",
+    "data", "micro_batch_size", "global_batch_size", "num_microbatches",
+    "schedule", "num_chunks", "framework", "fault_events", "fault_seed",
+    "fault_count", "fault_horizon", "stragglers", "bandwidth_scale",
+    "trace_enabled", "validate", "tie_embeddings", "fidelity", "label",
+}
 
-def test_run_matches_run_holmes_case():
-    group = PARAM_GROUPS[1]
-    legacy = run_holmes_case(
-        ENV_BUILDERS["hybrid"](4, 8), group, scenario="hybrid"
-    )
-    modern = run(case_scenario("Hybrid", 4, group))
-    assert modern.tflops == legacy.tflops
-    assert modern.throughput == legacy.throughput
-    assert modern.iteration_time == legacy.iteration_time
-    assert modern.reduce_scatter_time == legacy.reduce_scatter_time
-    assert modern.dp_rdma_fraction == legacy.dp_rdma_fraction
-    assert modern.world_size == legacy.num_gpus
+
+def test_inline_machine_matches_env_named_scenario():
+    # the same machine given inline runs byte-identically to its env name
+    for env, build in ENV_BUILDERS.items():
+        named = Scenario(env=env, nodes=4, gpus_per_node=2, num_layers=4,
+                         hidden_size=256, num_attention_heads=4,
+                         seq_length=128, vocab_size=1024, pipeline=2,
+                         micro_batch_size=1, num_microbatches=4,
+                         stragglers={1: 1.5})
+        inline = dataclasses.replace(
+            named, env=f"{env}-inline", machine=topology_to_dict(build(4, 2))
+        )
+        assert set(named.canonical()) == ENV_NAMED_KEYS
+        assert set(inline.canonical()) == ENV_NAMED_KEYS | {"machine"}
+        assert inline.digest() != named.digest()
+        a, b = run(named), run(inline)
+        assert (b.trace_digest, b.metrics_digest, b.tflops) == (
+            a.trace_digest, a.metrics_digest, a.tflops
+        ), env
 
 
 def test_run_is_deterministic():

@@ -1,5 +1,7 @@
 """Scenario identity: validation, normalization, digests, round-trips."""
 
+import json
+
 import pytest
 
 from repro.api import FRAMEWORK_PRESETS, Scenario
@@ -124,3 +126,54 @@ def test_from_group_builds_labelled_cell():
     assert s.nodes == 4
     assert s.world_size == 32
     assert s.label == "g1:hybrid:4x8"
+
+
+#: a 2x2 RoCE + InfiniBand machine, spelled minimally
+MACHINE = {"gpus_per_node": 2,
+           "clusters": [{"nodes": 1, "nic": "roce"},
+                        {"nodes": 1, "nic": "infiniband"}]}
+
+
+def test_inline_machine_is_canonical_and_round_trips():
+    s = tiny(env="mixed", machine=MACHINE)
+    assert isinstance(s.machine, str)  # canonical JSON text: hashable
+    assert hash(s) == hash(tiny(env="mixed", machine=MACHINE))
+    # every spelling of the same machine is the same scenario
+    spelled = dict(MACHINE, inter_cluster_rdma=False,
+                   nics={"roce": {"gbps": 200, "latency_us": 6}})
+    assert tiny(env="mixed", machine=spelled) == s
+    assert tiny(env="mixed", machine=s.machine) == s
+    back = Scenario.from_canonical(json.loads(json.dumps(s.canonical())))
+    assert back == s and back.digest() == s.digest()
+    assert s.canonical()["machine"]["nics"]["roce"]["latency"] == "6e-06"
+    assert s.topology().world_size == 4
+    rdma = tiny(env="mixed", machine=dict(MACHINE, inter_cluster_rdma=True))
+    assert rdma.digest() != s.digest()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"nodes": 3},
+    {"machine": dict(MACHINE, gpus_per_node=4)},
+    {"env": ""},
+    {"machine": "not json"},
+    {"machine": {"clusters": [1]}},
+])
+def test_inline_machine_must_be_valid_and_fit_the_scenario(overrides):
+    kw = dict(env="mixed", machine=MACHINE)
+    kw.update(overrides)
+    with pytest.raises(ConfigurationError):
+        tiny(**kw)
+
+
+def test_inline_machine_validation_builds_no_nodes(monkeypatch):
+    import repro.hardware.config_io as config_io
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation built a node")
+
+    monkeypatch.setattr(config_io, "Node", refuse)
+    huge = {"gpus_per_node": 2, "clusters": [{"nodes": 10 ** 9, "nic": "roce"}]}
+    s = tiny(env="huge", nodes=10 ** 9, machine=huge)
+    assert s.world_size == 2 * 10 ** 9
+    with pytest.raises(ConfigurationError):
+        tiny(env="huge", machine=huge)

@@ -1,46 +1,30 @@
-"""Tests for the sweep utility."""
+"""Tests for the node-scaling sweep utility."""
 
 import pytest
 
-from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import HOLMES_BASE
-from repro.bench.scenarios import homogeneous_env
-from repro.bench.sweep import (
-    node_scaling_points,
-    scaling_efficiency,
-    sweep_machines,
-)
+from repro.api import sweep
+from repro.bench.sweep import node_scaling_scenarios, scaling_efficiency
 from repro.errors import ConfigurationError
-from repro.hardware.nic import NICType
 
 
 class TestSweep:
     def test_node_scaling_points(self):
-        points = node_scaling_points(
-            lambda n: homogeneous_env(n, NICType.INFINIBAND), [2, 4]
-        )
-        assert [p.label for p in points] == ["2 nodes", "4 nodes"]
-        assert points[1].topology.world_size == 32
+        scenarios = node_scaling_scenarios("ib", [2, 4], 1)
+        assert [s.nodes for s in scenarios] == [2, 4]
+        assert [s.label for s in scenarios] == ["g1:ib:2x8", "g1:ib:4x8"]
+        assert scenarios[1].world_size == 32
 
     def test_sweep_runs_all_points(self):
-        points = node_scaling_points(
-            lambda n: homogeneous_env(n, NICType.INFINIBAND), [2, 4]
-        )
-        results = sweep_machines(HOLMES_BASE, points, PARAM_GROUPS[1])
-        assert [r.scenario for r in results] == ["2 nodes", "4 nodes"]
-        assert results[1].num_gpus == 2 * results[0].num_gpus
+        results = sweep(node_scaling_scenarios("InfiniBand", [2, 4], 1))
+        assert [r.scenario for r in results] == ["g1:ib:2x8", "g1:ib:4x8"]
+        assert results[1].world_size == 2 * results[0].world_size
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
-            sweep_machines(HOLMES_BASE, [], PARAM_GROUPS[1])
-        with pytest.raises(ConfigurationError):
-            node_scaling_points(lambda n: None, [])
+            node_scaling_scenarios("ib", [], 1)
 
     def test_scaling_efficiency_first_point_is_one(self):
-        points = node_scaling_points(
-            lambda n: homogeneous_env(n, NICType.INFINIBAND), [2, 4]
-        )
-        results = sweep_machines(HOLMES_BASE, points, PARAM_GROUPS[1])
+        results = sweep(node_scaling_scenarios("ib", [2, 4], 1))
         efficiencies = scaling_efficiency(results)
         assert efficiencies[0] == pytest.approx(1.0)
         # Sublinear at fixed global batch (paper Table 3 shape).

@@ -1,13 +1,12 @@
-"""Tests for table formatting, the case runner, and paper data integrity."""
+"""Tests for table formatting, table cells, and paper data integrity."""
 
 import pytest
 
+from repro.api import run
 from repro.bench.paper_data import TABLE1, TABLE3, TABLE5, shapes_hold
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import HOLMES_BASE, HOLMES_FULL, run_holmes_case
-from repro.bench.scenarios import homogeneous_env
+from repro.bench.runner import HOLMES_BASE, HOLMES_FULL, case_scenario
 from repro.bench.tables import format_table, paper_vs_measured
-from repro.hardware.nic import NICType
 
 
 class TestTables:
@@ -68,13 +67,12 @@ class TestPaperData:
 
 class TestRunner:
     def test_case_result_fields(self):
-        result = run_holmes_case(
-            homogeneous_env(4, NICType.INFINIBAND), PARAM_GROUPS[1],
-            scenario="InfiniBand",
-        )
-        assert result.scenario == "InfiniBand"
-        assert result.group_id == 1
-        assert result.num_gpus == 32
+        scenario = case_scenario("InfiniBand", 4, PARAM_GROUPS[1])
+        assert (scenario.env, scenario.framework) == ("ib", "holmes-base")
+        assert not scenario.trace_enabled
+        result = run(scenario)
+        assert result.scenario == "g1:ib:4x8"
+        assert result.world_size == 32
         assert result.tflops > 0
         row = result.row()
         assert row["TFLOPS"] == round(result.tflops)

@@ -4,14 +4,17 @@ validation against the analytic Young/Daly goodput."""
 import numpy as np
 import pytest
 
+from repro.bench.scenarios import hybrid2_env
 from repro.core.faults import CheckpointPolicy
 from repro.core.longrun import (
     ElasticPolicy,
+    degraded_throughput_fractions,
     elastic_goodput_analytic,
     simulate_campaign,
     simulate_elastic_campaign,
 )
 from repro.errors import ConfigurationError
+from repro.model.config import GPTConfig
 
 POLICY = CheckpointPolicy(checkpoint_time=60.0, restart_time=300.0,
                           mtbf=6 * 3600.0)
@@ -212,3 +215,24 @@ class TestElasticCampaign:
             - result.reconfig_time - result.idle_time
         # useful (phi-weighted) can't exceed wall running time.
         assert 0.0 < result.useful_time <= running + 1e-6
+
+
+class TestDegradedThroughputFractions:
+    MODEL = GPTConfig(num_layers=8, hidden_size=2048, num_attention_heads=16,
+                      seq_length=1024, vocab_size=4096)
+
+    def test_replanned_fractions_per_failure_count(self):
+        fractions = degraded_throughput_fractions(
+            hybrid2_env(4, gpus_per_node=2), self.MODEL, 64, 2,
+            micro_batch_size=2,
+        )
+        assert sorted(fractions) == [0, 1, 2]
+        assert fractions[0] == 1.0
+        # compute-bound model: losing nodes costs throughput
+        assert all(0.0 < fractions[k] < 1.0 for k in (1, 2))
+
+    def test_no_survivors_rejected(self):
+        with pytest.raises(ConfigurationError):
+            degraded_throughput_fractions(
+                hybrid2_env(4, gpus_per_node=2), self.MODEL, 64, 4
+            )

@@ -1,7 +1,8 @@
-"""Tests for framework presets and the comparison runner."""
+"""Tests for framework presets and framework comparisons."""
 
 import pytest
 
+from repro.api import Scenario, simulate
 from repro.frameworks import (
     FRAMEWORKS,
     HOLMES,
@@ -9,16 +10,10 @@ from repro.frameworks import (
     MEGATRON_LLAMA,
     MEGATRON_LM,
     holmes_ablation,
-    simulate_framework,
 )
 from repro.frameworks.base import environment_is_heterogeneous
 from repro.hardware.nic import NICType
 from repro.hardware.presets import homogeneous_topology, make_topology
-from repro.model.config import GPTConfig
-from repro.parallel.degrees import ParallelConfig
-
-MODEL = GPTConfig(num_layers=8, hidden_size=1024, num_attention_heads=8,
-                  seq_length=512, vocab_size=8192)
 
 
 @pytest.fixture
@@ -30,10 +25,15 @@ def hybrid_topo():
     )
 
 
-def parallel_for(topo, t=1, p=2):
-    d = topo.world_size // (t * p)
-    return ParallelConfig(tensor=t, pipeline=p, data=d,
-                          micro_batch_size=2, global_batch_size=2 * d * 4)
+def run_framework(framework, env="hybrid", nodes=4):
+    """One iteration of a small GPT (p=2, data parallel fills the rest) on
+    2-GPU nodes."""
+    return simulate(Scenario(
+        env=env, nodes=nodes, gpus_per_node=2, num_layers=8,
+        hidden_size=1024, num_attention_heads=8, seq_length=512,
+        vocab_size=8192, pipeline=2, micro_batch_size=2, num_microbatches=4,
+        framework=framework, trace_enabled=False,
+    ))
 
 
 class TestPresets:
@@ -100,32 +100,19 @@ class TestHeterogeneityDetection:
 
 
 class TestSimulateFramework:
-    def test_holmes_beats_baselines_in_heterogeneous_env(self, hybrid_topo):
+    def test_holmes_beats_baselines_in_heterogeneous_env(self):
         """The paper's Figure 6 ordering, on a miniature machine."""
-        parallel = parallel_for(hybrid_topo)
-        results = {
-            name: simulate_framework(spec, hybrid_topo, parallel, MODEL,
-                                     trace_enabled=False)
-            for name, spec in FRAMEWORKS.items()
-        }
-        tflops = {name: r.tflops for name, r in results.items()}
+        tflops = {name: run_framework(name).tflops for name in FRAMEWORKS}
         assert tflops["holmes"] > tflops["megatron-llama"]
         assert tflops["megatron-llama"] > tflops["megatron-deepspeed"]
         assert tflops["megatron-lm"] > tflops["megatron-deepspeed"]
 
-    def test_baselines_forced_to_ethernet(self, hybrid_topo):
-        parallel = parallel_for(hybrid_topo)
-        result = simulate_framework(
-            MEGATRON_LM, hybrid_topo, parallel, MODEL, trace_enabled=False
-        )
+    def test_baselines_forced_to_ethernet(self):
+        result = run_framework("megatron-lm")
         assert result.audit.dp_groups_rdma == 0
 
     def test_baselines_keep_rdma_in_homogeneous_env(self):
-        topo = homogeneous_topology(2, NICType.INFINIBAND, gpus_per_node=2)
-        parallel = parallel_for(topo)
-        result = simulate_framework(
-            MEGATRON_LM, topo, parallel, MODEL, trace_enabled=False
-        )
+        result = run_framework("megatron-lm", env="ib", nodes=2)
         assert result.audit.dp_rdma_fraction == 1.0
 
     def test_with_overrides(self):

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from repro.bench.scenarios import hybrid3_env
 from repro.errors import ConfigurationError
 from repro.hardware.config_io import (
+    canonical_machine,
     dump_topology,
     load_topology,
     topology_from_dict,
@@ -15,6 +17,19 @@ from repro.hardware.config_io import (
 from repro.hardware.nic import NICType
 from repro.hardware.presets import IB_200, make_topology
 from repro.units import gbps
+from repro.validate.scenarios import ENV_BUILDERS
+
+R, IB = NICType.ROCE, NICType.INFINIBAND
+#: every machine of the paper's evaluation: the six named environments
+#: and Table 4's three-cluster layouts
+PAPER_MACHINES = {
+    **{f"{env}-{nodes}x{gpus}": build(nodes, gpus)
+       for env, build in ENV_BUILDERS.items()
+       for nodes, gpus in ((4, 8), (8, 8), (2, 2))},
+    "hybrid3-2R2R2IB": hybrid3_env([R, R, IB], 2),
+    "hybrid3-2R2IB2IB": hybrid3_env([R, IB, IB], 2),
+    "hybrid3-4R4IB4IB": hybrid3_env([R, IB, IB], 4),
+}
 
 
 class TestFromDict:
@@ -59,14 +74,54 @@ class TestFromDict:
             {"clusters": [{"nodes": 1, "nic": "token-ring"}]},
             {"clusters": [{"nodes": 1, "nic": "roce"}],
              "nics": {"warp": {"gbps": 1}}},
+            [],
+            "machine",
+            {"clusters": [1]},
+            {"clusters": "roce"},
+            {"clusters": [{"nic": "roce"}]},
+            {"clusters": [{"nodes": "2"}]},
+            {"clusters": [{"nodes": True}]},
+            {"clusters": [{"nodes": 1.5}]},
+            {"clusters": [{"nodes": 1, "nic": ["roce"]}]},
+            {"clusters": [{"nodes": 1, "racks": 2}]},
+            {"clusters": [{"nodes": 1}], "colour": "red"},
+            {"clusters": [{"nodes": 1}], "nics": [1]},
+            {"clusters": [{"nodes": 1}], "nics": {"roce": 5}},
+            {"clusters": [{"nodes": 1}], "nics": {"ethernet": {"gbps": "nan"}}},
+            {"clusters": [{"nodes": 1}], "nics": {"ethernet": {"gbps": "1e309"}}},
+            {"clusters": [{"nodes": 1}], "nics": {"ethernet": {"gbps": [25]}}},
+            {"clusters": [{"nodes": 1}], "nics": {"ethernet": {"gbps": 0}}},
+            {"clusters": [{"nodes": 1}], "nics": {"ethernet": {"latency": "-1"}}},
+            {"clusters": [{"nodes": 1}], "nics": {"ethernet": {"name": 7}}},
+            {"clusters": [{"nodes": 1}],
+             "nics": {"ethernet": {"gbps": 25, "bandwidth": 3.125e9}}},
+            {"clusters": [{"nodes": 1}], "gpus_per_node": 0},
+            {"clusters": [{"nodes": 1}], "inter_cluster_rdma": "yes"},
+            {"clusters": [{"nodes": 1}], "gpu": []},
+            {"clusters": [{"nodes": 1}], "gpu": {"peak_tflops": 312}},
+            {"clusters": [{"nodes": 1}],
+             "gpu": {"peak_tflops": 312, "memory_gb": 80, "mfu": 2}},
         ],
     )
     def test_invalid_machines_rejected(self, data):
+        with pytest.raises(ConfigurationError):
+            canonical_machine(data)
         with pytest.raises(ConfigurationError):
             topology_from_dict(data)
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("name", sorted(PAPER_MACHINES))
+    def test_paper_machines_round_trip_exactly(self, name):
+        original = PAPER_MACHINES[name]
+        data = topology_to_dict(original)
+        for restored in (topology_from_dict(data),
+                         topology_from_dict(json.loads(json.dumps(data)))):
+            assert restored.inter_cluster_rdma == original.inter_cluster_rdma
+            assert restored.clusters == original.clusters  # every spec, bit for bit
+            assert topology_to_dict(restored) == data
+        assert canonical_machine(data) == data
+
     def test_dict_round_trip(self):
         original = make_topology(
             [(2, NICType.ROCE), (3, NICType.INFINIBAND)],

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_environment, main, make_parser
+from repro.cli import main, make_parser
+from repro.validate.scenarios import ENV_BUILDERS
 
 
 class TestParser:
@@ -18,7 +19,7 @@ class TestParser:
 
     def test_environments_buildable(self):
         for env in ("ib", "roce", "ethernet", "hybrid", "split-ib", "split-roce"):
-            topo = build_environment(env, 4)
+            topo = ENV_BUILDERS[env](4, 8)
             assert topo.world_size == 32
 
 
@@ -183,3 +184,42 @@ class TestFaultsCommand:
         out = capsys.readouterr().out
         assert "elastic campaign" in out
         assert "goodput:" in out
+
+
+class TestMachineFile:
+    """``--machine FILE`` carries the machine inline in the scenario: the
+    same run path, and the same numbers, as the named environment."""
+
+    def test_saved_machine_simulates_like_its_env(self, tmp_path, capsys):
+        path = str(tmp_path / "m.json")
+        assert main(["topology", "--env", "hybrid", "--nodes", "4",
+                     "--save", path]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--env", "hybrid", "--nodes", "4"]) == 0
+        named = capsys.readouterr().out
+        assert main(["simulate", "--machine", path]) == 0
+        assert capsys.readouterr().out == named
+
+    def test_machine_json_document(self, tmp_path, capsys):
+        from repro.api import RunResult
+
+        path = str(tmp_path / "m.json")
+        assert main(["topology", "--env", "hybrid", "--nodes", "4",
+                     "--save", path]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--env", "hybrid", "--json"]) == 0
+        named = RunResult.from_document(json.loads(capsys.readouterr().out))
+        assert main(["simulate", "--machine", path, "--json"]) == 0
+        inline = RunResult.from_document(json.loads(capsys.readouterr().out))
+        assert inline.env == "custom"
+        assert inline.trace_digest == named.trace_digest
+        assert inline.metrics_digest == named.metrics_digest
+        assert inline.tflops == named.tflops
+
+    def test_unreadable_machine_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"clusters": [1]}')
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--machine", str(path)])
+        assert excinfo.value.code == 2
+        assert "cannot load machine file" in capsys.readouterr().err

@@ -8,30 +8,30 @@ claims hold — the *shape* requirements of the reproduction.
 import pytest
 
 from repro import quick_simulate
+from repro.api import run
 from repro.bench.paper_data import shapes_hold
 from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import run_holmes_case
-from repro.bench.scenarios import (
-    ethernet_env,
-    homogeneous_env,
-    hybrid2_env,
-    hybrid3_env,
-    split_env,
-)
+from repro.bench.runner import case_scenario
+from repro.bench.scenarios import hybrid2_env, hybrid3_env
+from repro.hardware.config_io import topology_to_dict
 from repro.hardware.nic import NICType
 
 
+def cell(env, nodes, group_id):
+    return run(case_scenario(env, nodes, group_id))
+
+
+def hybrid3_cell(families, nodes_per_cluster, group_id):
+    machine = topology_to_dict(hybrid3_env(families, nodes_per_cluster))
+    return run(case_scenario(
+        "hybrid3", 3 * nodes_per_cluster, group_id, machine=machine
+    ))
+
+
 def sweep(group_id, nodes):
-    group = PARAM_GROUPS[group_id]
     return {
-        "InfiniBand": run_holmes_case(
-            homogeneous_env(nodes, NICType.INFINIBAND), group
-        ).tflops,
-        "RoCE": run_holmes_case(
-            homogeneous_env(nodes, NICType.ROCE), group
-        ).tflops,
-        "Ethernet": run_holmes_case(ethernet_env(nodes), group).tflops,
-        "Hybrid": run_holmes_case(hybrid2_env(nodes), group).tflops,
+        env: cell(env, nodes, group_id).tflops
+        for env in ("InfiniBand", "RoCE", "Ethernet", "Hybrid")
     }
 
 
@@ -53,16 +53,11 @@ class TestPaperShapes:
     def test_tflops_declines_with_scale_at_fixed_batch(self):
         """Table 3's scaling shape: fixed global batch, more GPUs -> lower
         per-GPU TFLOPS (communication share grows, microbatches shrink)."""
-        group = PARAM_GROUPS[1]
-        t4 = run_holmes_case(homogeneous_env(4, NICType.INFINIBAND), group).tflops
-        t6 = run_holmes_case(homogeneous_env(6, NICType.INFINIBAND), group).tflops
-        t8 = run_holmes_case(homogeneous_env(8, NICType.INFINIBAND), group).tflops
+        t4, t6, t8 = (cell("ib", nodes, 1).tflops for nodes in (4, 6, 8))
         assert t4 > t6 > t8
 
     def test_throughput_grows_with_scale(self):
-        group = PARAM_GROUPS[1]
-        t4 = run_holmes_case(homogeneous_env(4, NICType.INFINIBAND), group).throughput
-        t8 = run_holmes_case(homogeneous_env(8, NICType.INFINIBAND), group).throughput
+        t4, t8 = (cell("ib", nodes, 1).throughput for nodes in (4, 8))
         assert t8 > t4
 
 
@@ -71,16 +66,14 @@ class TestCase2CrossCluster:
 
     @pytest.mark.parametrize("family", [NICType.INFINIBAND, NICType.ROCE])
     def test_split_env_between_bounds(self, family):
-        group = PARAM_GROUPS[1]
-        upper = run_holmes_case(homogeneous_env(4, family), group).tflops
-        lower = run_holmes_case(ethernet_env(4), group).tflops
-        split = run_holmes_case(split_env(4, family), group).tflops
+        short = {NICType.INFINIBAND: "ib", NICType.ROCE: "roce"}[family]
+        upper = cell(short, 4, 1).tflops
+        lower = cell("ethernet", 4, 1).tflops
+        split = cell(f"split-{short}", 4, 1).tflops
         assert lower < split <= upper * 1.02
 
     def test_split_env_dp_keeps_rdma(self):
-        group = PARAM_GROUPS[1]
-        result = run_holmes_case(split_env(4, NICType.INFINIBAND), group)
-        assert result.dp_rdma_fraction == 1.0
+        assert cell("split-ib", 4, 1).dp_rdma_fraction == 1.0
 
 
 class TestThreeClusters:
@@ -94,20 +87,16 @@ class TestThreeClusters:
         ],
     )
     def test_hybrid3_beats_ethernet(self, families):
-        group = PARAM_GROUPS[5]  # p=3
-        topo = hybrid3_env(families, 2)
-        hybrid = run_holmes_case(topo, group)
-        eth = run_holmes_case(ethernet_env(6), group)
+        hybrid = hybrid3_cell(families, 2, 5)  # PG5: p=3
+        eth = cell("ethernet", 6, 5)
         assert hybrid.tflops > eth.tflops
         assert hybrid.dp_rdma_fraction == 1.0
 
     def test_hybrid3_at_12_nodes(self):
-        group = PARAM_GROUPS[6]
-        topo = hybrid3_env(
-            [NICType.ROCE, NICType.INFINIBAND, NICType.INFINIBAND], 4
+        result = hybrid3_cell(
+            [NICType.ROCE, NICType.INFINIBAND, NICType.INFINIBAND], 4, 6
         )
-        result = run_holmes_case(topo, group)
-        assert result.num_gpus == 96
+        assert result.world_size == 96
         assert result.tflops > 0
 
 

@@ -7,11 +7,7 @@ categories sum to the iteration makespan (plus overhead) within 1e-6 s.
 
 import pytest
 
-from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.runner import HOLMES_BASE
-from repro.bench.scenarios import ethernet_env, homogeneous_env, split_env
-from repro.frameworks.base import simulate_framework
-from repro.hardware.nic import NICType
+from repro.api import Scenario, simulate
 from repro.obs.attribution import (
     Category,
     attribute_iteration,
@@ -145,23 +141,9 @@ class TestEndToEndBudgets:
         assert report.top_edges, "p2p edges should be named"
         assert report.top_edges[0].transport
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: homogeneous_env(2, NICType.INFINIBAND),
-            lambda: ethernet_env(2),
-            lambda: split_env(2, NICType.ROCE),
-        ],
-        ids=["ib", "ethernet", "split-roce"],
-    )
-    def test_benchmark_scenarios_budget_complete(self, build):
-        group = PARAM_GROUPS[1]
-        topology = build()
-        result = simulate_framework(
-            HOLMES_BASE, topology, group.parallel_for(topology.world_size),
-            group.model, trace_enabled=True,
-        )
-        self._assert_complete(result)
+    @pytest.mark.parametrize("env", ["ib", "ethernet", "split-roce"])
+    def test_benchmark_scenarios_budget_complete(self, env):
+        self._assert_complete(simulate(Scenario.from_group(env, 2, 1)))
 
     def test_faulted_budget_complete(self, brownout_result):
         self._assert_complete(brownout_result)

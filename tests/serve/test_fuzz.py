@@ -43,6 +43,21 @@ def base_scenario():
     ).canonical()
 
 
+#: a valid 2x2 machine scenario whose inline machine the machine cases break
+MACHINE = {"gpus_per_node": 2,
+           "clusters": [{"nodes": 1, "nic": "roce"},
+                        {"nodes": 1, "nic": "infiniband"}],
+           "nics": {"roce": {"gbps": 200}}}
+
+
+def machine_scenario():
+    return Scenario.from_group(
+        "mixed", 2, 1, gpus_per_node=2, tensor=1, pipeline=1, data=0,
+        global_batch_size=0, num_microbatches=2, trace_enabled=False,
+        fidelity="auto", machine=MACHINE,
+    ).canonical()
+
+
 def accepted(doc):
     """Whether the daemon would accept ``doc`` on any of its routes (a
     bare mapping is tried as the scenario of a run request)."""
@@ -178,6 +193,35 @@ def build_case(rng):
     return head.encode("latin-1", "replace") + body
 
 
+def invalid_machine_body(rng, kind):
+    """A request whose only fault is in its inline machine, or ``None``."""
+    scenario = machine_scenario()
+    machine = scenario["machine"]
+    op = rng.randrange(8)
+    if op == 0:
+        scenario["machine"] = rng.choice(JUNK)
+    elif op == 1:
+        machine["clusters"] = rng.choice((JUNK[rng.randrange(len(JUNK))], [1], []))
+    elif op == 2:
+        cluster = machine["clusters"][rng.randrange(2)]
+        cluster[rng.choice(("nodes", "nic", "racks"))] = rng.choice(JUNK)
+    elif op == 3:
+        machine["nics"] = rng.choice(JUNK + ([1], {"warp": {}}))
+    elif op == 4:
+        nic = machine["nics"][rng.choice(sorted(machine["nics"]))]
+        nic[rng.choice(sorted(nic) + ["gbps", "latency_us", "extra"])] = rng.choice(JUNK)
+    elif op == 5:
+        machine["gpu"][rng.choice(("peak_flops", "memory_bytes", "mfu", "name"))] = (
+            rng.choice(JUNK))
+    elif op == 6:
+        machine[rng.choice(("gpus_per_node", "inter_cluster_rdma", "racks"))] = (
+            rng.choice(JUNK))
+    else:
+        scenario["nodes"] = rng.choice((1, 3, 10 ** 9))  # shape mismatch
+    doc = build_request(kind, [scenario])
+    return None if accepted(doc) else json.dumps(doc).encode()
+
+
 def exchange(address, request):
     """Send ``request``, close the write side, and read the whole answer."""
     with socket.create_connection(address, timeout=30) as sock:
@@ -237,3 +281,23 @@ def test_schema_valid_requests_are_not_fuzz_cases():
         assert accepted(build_request(kind, [base_scenario()]))
     assert accepted(base_scenario())
     assert not accepted({"schema": REQUEST_SCHEMA})
+
+
+def test_hostile_machines_get_a_400(address):
+    # every malformed inline machine is a schema error, never a 500
+    rng = random.Random(SEED + 1)
+    sent = 0
+    for index in range(60):
+        kind = rng.choice(("run", "sweep", "plan"))
+        body = invalid_machine_body(rng, kind)
+        if body is None:
+            continue
+        sent += 1
+        head = (f"POST /v1/{kind} HTTP/1.1\r\nHost: fuzz\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n")
+        raw = exchange(address, head.encode() + body)
+        status = int(raw.split(b" ", 2)[1])
+        assert status == 400, (index, raw[:300], body[:300])
+    assert sent >= 45
+    assert accepted(build_request("run", [machine_scenario()]))

@@ -7,6 +7,7 @@ socket, and the service is multi-tenant by design); shedding tests boot
 their own tightly-bounded instance.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -77,11 +78,18 @@ class TestHealthAndRouting:
 
 class TestServedRunIdentity:
     def test_served_document_is_byte_identical_to_local(self, client):
-        s = scenario()
-        local = run(s).to_document()
-        served = client.run_document(s)
-        assert (json.dumps(served, sort_keys=True)
-                == json.dumps(local, sort_keys=True))
+        from repro.hardware.config_io import topology_to_dict
+
+        named = scenario()
+        inline = dataclasses.replace(
+            named, env="ib-inline",
+            machine=topology_to_dict(named.topology()),
+        )
+        for s in (named, inline):
+            local = run(s).to_document()
+            served = client.run_document(s)
+            assert (json.dumps(served, sort_keys=True)
+                    == json.dumps(local, sort_keys=True))
 
     def test_parsed_result_equals_local(self, client):
         s = scenario()

@@ -1,9 +1,6 @@
-"""The PR-5 deprecation shims are gone: canonical keyword forms work
-silently, legacy positional/renamed forms raise ``TypeError``, and
-``import repro._compat`` warns-then-fails cleanly."""
+"""The removed deprecation shims stay removed: canonical keyword forms
+work silently, legacy positional/renamed forms raise ``TypeError``."""
 
-import importlib
-import sys
 import warnings
 
 import pytest
@@ -34,35 +31,6 @@ def small_plan():
     parallel = ParallelConfig(tensor=1, pipeline=2, data=2,
                               micro_batch_size=2, global_batch_size=16)
     return HolmesScheduler().plan(TOPO, parallel, MODEL)
-
-
-class TestCompatModuleRemoved:
-    def _import_fresh(self):
-        sys.modules.pop("repro._compat", None)
-        return importlib.import_module("repro._compat")
-
-    def test_import_warns_then_fails(self):
-        with pytest.warns(DeprecationWarning, match="repro._compat has been removed"):
-            with pytest.raises(ImportError, match="canonical spellings"):
-                self._import_fresh()
-
-    def test_failed_import_is_not_cached(self):
-        # A failed import must not leave a half-initialised module behind:
-        # the next import attempt warns and fails identically.
-        for _ in range(2):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                with pytest.raises(ImportError):
-                    self._import_fresh()
-        assert "repro._compat" not in sys.modules
-
-    def test_no_internal_caller_imports_the_tombstone(self):
-        # Everything below repro imports cleanly without tripping the
-        # tombstone (the import above already proved most of the tree).
-        for name in ("repro.core.engine", "repro.network.fabric",
-                     "repro.faults.injector", "repro.nn.parallel_train"):
-            module = importlib.import_module(name)
-            assert "_compat" not in (getattr(module, "__file__", "") or "")
 
 
 class TestFabricKeywordOnly:

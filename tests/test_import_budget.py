@@ -56,6 +56,7 @@ def test_cli_simulate_runs_without_numpy():
     assert "repro.core.engine" in loaded  # the probe really simulated
     forbidden = {
         "numpy",
+        "repro.hardware.config_io",  # only inline machines need the codec
         "repro.obs.flight",
         "repro.obs.ledger",
         "repro.core.planner",
@@ -86,6 +87,22 @@ def test_the_daemon_imports_the_run_path_at_boot(tmp_path):
     required = {"repro.api", "repro.exec.engine", "repro.core.engine",
                 "repro.obs.flight", *RUN_PATH_MODULES}
     assert required <= loaded, sorted(required - loaded)
+
+
+def test_the_daemon_serves_an_unfaulted_run_without_numpy(tmp_path):
+    loaded = loaded_after(
+        "from repro.api import Scenario\n"
+        "from repro.client import ServeClient\n"
+        "from repro.serve import ServeConfig, start_in_process\n"
+        f"config = ServeConfig(port=0, cache_dir={str(tmp_path)!r})\n"
+        "with start_in_process(config) as daemon:\n"
+        "    ServeClient(daemon.url).run(Scenario(\n"
+        "        env='ib', nodes=2, gpus_per_node=2, num_layers=4,\n"
+        "        hidden_size=256, num_attention_heads=4, seq_length=128,\n"
+        "        vocab_size=1024, pipeline=2, num_microbatches=2))"
+    )
+    assert "repro.exec.engine" in loaded  # the probe really served a run
+    assert "numpy" not in loaded
 
 
 def test_numpy_is_imported_at_module_top_only_by_the_numerical_twin():

@@ -23,8 +23,8 @@ ROOTS = ["repro"] + sorted(
     f"repro.{path.parent.name}" for path in (REPO_SRC / "repro").glob("*/__init__.py")
 )
 #: modules that cannot be imported for inspection: the CLI entry point
-#: runs the parser, and the removed-shim tombstone raises on import
-UNIMPORTABLE = {"repro.__main__", "repro._compat"}
+#: runs the parser
+UNIMPORTABLE = {"repro.__main__"}
 
 
 def lazy_table(package: str):
