@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.api import Scenario, run
 from repro.bench.paramgroups import PARAM_GROUPS
 from repro.bench.scenarios import ethernet_env, homogeneous_env, hybrid2_env
 from repro.bench.tables import format_table
@@ -133,11 +134,12 @@ def test_schedule_comparison(benchmark, emit):
     interleaved schedule only pays off when the bubble matters."""
 
     def build():
-        group = PARAM_GROUPS[1]
-        topo = homogeneous_env(4, NICType.INFINIBAND)
         out = {}
         for schedule, chunks in (("1f1b", 1), ("gpipe", 1), ("interleaved", 3)):
-            result = _simulate(topo, group, schedule=schedule, num_chunks=chunks)
+            result = run(Scenario.from_group(
+                "ib", 4, 1, schedule=schedule, num_chunks=chunks,
+                trace_enabled=False,
+            ))
             out[schedule] = result.iteration_time
         return out
 
@@ -188,20 +190,13 @@ def test_hierarchical_vs_flat_allreduce(benchmark, emit):
 def test_straggler_amplification(benchmark, emit):
     """Failure injection: a single slow GPU in a synchronous job costs far
     more than its share — and the cost grows with its slowdown factor."""
-    from repro.core.scheduler import HolmesScheduler
-
     def build():
-        group = PARAM_GROUPS[1]
-        topo = homogeneous_env(4, NICType.INFINIBAND)
-        parallel = group.parallel_for(topo.world_size)
-        plan = HolmesScheduler().plan(topo, parallel, group.model,
-                                      partition_strategy="uniform")
         out = {}
         for factor in (1.0, 1.2, 1.5, 2.0):
             stragglers = {} if factor == 1.0 else {0: factor}
-            result = TrainingSimulation(
-                plan, group.model, trace_enabled=False, stragglers=stragglers
-            ).run()
+            result = run(Scenario.from_group(
+                "ib", 4, 1, stragglers=stragglers, trace_enabled=False,
+            ))
             out[factor] = result.iteration_time
         return out
 

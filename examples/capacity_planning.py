@@ -3,9 +3,10 @@
 
 You are handed two clusters — 2 RoCE nodes and 2 InfiniBand nodes, Ethernet
 between them — and a 7.5B-parameter GPT to train.  Which (tensor, pipeline,
-data) sharding should you use?  The planner enumerates every feasible
-configuration, rejects those that would not fit in 80 GB of GPU memory or
-would straddle cluster boundaries, simulates the rest, and ranks them.
+data) sharding should you use?  The planner (``repro.api.plan``) enumerates
+every feasible configuration, drops those that would not fit in 80 GB of
+GPU memory, ranks the rest with its closed-form oracle, simulates the best
+and confirms the finalists with executed runs.
 
 This implements the paper's stated future work ("explore scheduling methods
 for diverse environments").
@@ -13,36 +14,45 @@ for diverse environments").
 Run:  python examples/capacity_planning.py
 """
 
-from repro.bench.scenarios import hybrid2_env
+import dataclasses
+
+from repro import api
 from repro.bench.tables import format_table
-from repro.core.planner import enumerate_configs, evaluate_candidates
-from repro.model.config import GPTConfig
 
 
 def main() -> None:
-    topology = hybrid2_env(4)
-    model = GPTConfig(num_layers=36, hidden_size=4096, num_attention_heads=32)
-    batch = 1536
+    base = api.Scenario(
+        env="hybrid", nodes=4, num_layers=36, hidden_size=4096,
+        num_attention_heads=32, micro_batch_size=4, global_batch_size=1536,
+        framework="holmes-full", trace_enabled=False, label="capacity",
+    )
+    print(f"Machine:\n{base.topology().describe()}\n")
+    print(f"Model: {base.model.describe()},  global batch "
+          f"{base.global_batch_size}\n")
 
-    print(f"Machine:\n{topology.describe()}\n")
-    print(f"Model: {model.describe()},  global batch {batch}\n")
+    result = api.plan(
+        base, top_k=8, frameworks=("holmes-full",), schedules=("1f1b",)
+    )
+    print(f"{result.enumerated} feasible (t, p, d) combinations enumerated")
+    print(f"{result.feasible} fit in GPU memory; the oracle's best "
+          f"{result.searched} were simulated, {len(result.discovered)} "
+          f"confirmed\n")
 
-    configs = list(enumerate_configs(topology, model, batch))
-    print(f"{len(configs)} feasible (t, p, d) combinations enumerated")
-
-    candidates = evaluate_candidates(topology, model, configs)
-    print(f"{len(candidates)} survive memory and cluster-alignment checks\n")
+    def stage_layers(layout):
+        scenario = dataclasses.replace(
+            base, tensor=layout.tensor, pipeline=layout.pipeline, data=0
+        )
+        return api.build(scenario).plan.stage_layers
 
     rows = []
-    for c in candidates[:8]:
+    for layout in result.discovered:
         rows.append(
             [
-                f"t={c.parallel.tensor} p={c.parallel.pipeline} "
-                f"d={c.parallel.data}",
-                "/".join(str(n) for n in c.stage_layers),
-                round(c.tflops, 1),
-                round(c.throughput, 2),
-                f"{c.memory_utilization * 100:.0f}%",
+                f"t={layout.tensor} p={layout.pipeline} d={layout.data}",
+                "/".join(str(n) for n in stage_layers(layout)),
+                round(layout.tflops, 1),
+                round(layout.throughput, 2),
+                f"{layout.memory_utilization * 100:.0f}%",
             ]
         )
     print(
@@ -52,12 +62,12 @@ def main() -> None:
         )
     )
 
-    best = candidates[0]
+    best = result.best
     print(
-        f"\nPlanner's pick: t={best.parallel.tensor}, "
-        f"p={best.parallel.pipeline}, d={best.parallel.data} — "
-        f"pipeline across the Ethernet gap, data parallelism on RDMA, "
-        f"layers split {list(best.stage_layers)} by Eq. 2."
+        f"\nPlanner's pick: t={best.tensor}, p={best.pipeline}, "
+        f"d={best.data} — pipeline across the Ethernet gap, data "
+        f"parallelism on RDMA, layers split {list(stage_layers(best))} "
+        f"by Eq. 2."
     )
 
 

@@ -11,12 +11,7 @@ Run:  python examples/fault_recovery.py
 
 from repro.bench.scenarios import hybrid2_env
 from repro.bench.tables import format_table
-from repro.core.faults import (
-    CheckpointPolicy,
-    replan_after_failure,
-    surviving_topology,
-)
-from repro.core.planner import plan_best
+from repro.core.faults import CheckpointPolicy, replan_after_failure
 from repro.model.config import GPTConfig
 
 HOURS = 3600.0
@@ -27,9 +22,12 @@ def main() -> None:
     model = GPTConfig(num_layers=36, hidden_size=4096, num_attention_heads=32)
     batch = 1536
 
-    healthy = plan_best(topology, model, batch, top_k=1)[0]
+    # No failed nodes: the same planner run on the whole machine.
+    # The best Holmes layout is discovered[0]; `best` may be a preset.
+    healthy = replan_after_failure(topology, [], model, batch).discovered[0]
     print(f"Healthy machine ({topology.world_size} GPUs):")
-    print(f"  {healthy.describe()}\n")
+    print(f"  {healthy.describe()}  mem "
+          f"{healthy.memory_utilization * 100:.0f}%\n")
 
     # Fail one node in each cluster in turn and replan.
     rows = []
@@ -38,22 +36,22 @@ def main() -> None:
         ([2], "one IB node down"),
         ([0, 2], "one node down per cluster"),
     ]:
-        survivors = surviving_topology(topology, failed)
-        best = replan_after_failure(topology, failed, model, batch)[0]
+        best = replan_after_failure(topology, failed, model, batch).discovered[0]
         rows.append(
             [
                 label,
-                survivors.world_size,
-                f"t={best.parallel.tensor} p={best.parallel.pipeline} "
-                f"d={best.parallel.data}",
+                best.tensor * best.pipeline * best.data,
+                f"t={best.tensor} p={best.pipeline} d={best.data}",
                 round(best.throughput, 2),
+                f"{best.memory_utilization * 100:.0f}%",
                 f"{best.throughput / healthy.throughput * 100:.0f}%",
             ]
         )
     print("Degraded replans after node failures:")
     print(
         format_table(
-            ["Failure", "GPUs", "New config", "samples/s", "of healthy"],
+            ["Failure", "GPUs", "New config", "samples/s", "GPU mem",
+             "of healthy"],
             rows,
         )
     )

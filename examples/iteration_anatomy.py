@@ -10,40 +10,27 @@ different sizes.
 Run:  python examples/iteration_anatomy.py
 """
 
-from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.scenarios import ethernet_env, homogeneous_env, hybrid2_env
+from repro.api import Scenario, simulate
+from repro.bench.scenarios import homogeneous_env
 from repro.bench.tables import format_table
 from repro.collectives.selection import selection_table
 from repro.core.analysis import analyze
-from repro.core.scheduler import HolmesScheduler
-from repro.core.engine import TrainingSimulation
-from repro.core.optimizer import STRATEGIES
 from repro.hardware.nic import NICType
 from repro.network.fabric import Fabric
 from repro.schedule.pipeline import bubble_fraction
 
 
-def run_traced(topology, group):
-    parallel = group.parallel_for(topology.world_size)
-    plan = HolmesScheduler().plan(topology, parallel, group.model)
-    result = TrainingSimulation(
-        plan, group.model, optimizer=STRATEGIES["overlapped"],
-        trace_enabled=True,
-    ).run()
-    return result, parallel
-
-
 def main() -> None:
-    group = PARAM_GROUPS[3]
-
     print("Per-environment time breakdown (mean seconds per rank):\n")
     rows = []
-    for label, topo in (
-        ("InfiniBand", homogeneous_env(4, NICType.INFINIBAND)),
-        ("Hybrid", hybrid2_env(4)),
-        ("Ethernet", ethernet_env(4)),
+    for label, env in (
+        ("InfiniBand", "ib"),
+        ("Hybrid", "hybrid"),
+        ("Ethernet", "ethernet"),
     ):
-        result, parallel = run_traced(topo, group)
+        scenario = Scenario.from_group(env, 4, 3, framework="holmes-full")
+        result = simulate(scenario)
+        parallel = scenario.parallel
         analysis = analyze(result)
         for stage, summary in analysis.stage_summary().items():
             rows.append(

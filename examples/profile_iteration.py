@@ -10,36 +10,33 @@ brownout and show the budget shift to point straight at the culprits.
 
 Writes profile_report.json (schema-validated) and profile_trace.json
 (open in https://ui.perfetto.dev: rank rows, p2p flow arrows, fault
-markers, utilization counter tracks).
+markers, utilization counter tracks) to a fresh temporary directory and
+prints their paths.
 
 Run:  python examples/profile_iteration.py
 """
 
-from repro.bench.paramgroups import PARAM_GROUPS
-from repro.bench.scenarios import hybrid2_env
-from repro.core.engine import TrainingSimulation
-from repro.core.scheduler import HolmesScheduler
-from repro.faults import FaultEvent, FaultKind, FaultPlan
+import dataclasses
+import json
+import os
+import tempfile
+
+from repro.api import Scenario, simulate
+from repro.faults import FaultEvent, FaultKind
 from repro.obs.attribution import Category
 from repro.obs.report import build_report, render_report, validate_report
 from repro.obs.timeline import nic_utilization, utilization_counter_events
 from repro.simcore.chrome_trace import default_rank_names, export_chrome_trace
 
 
-def simulate(fault_plan=None):
-    group = PARAM_GROUPS[1]
-    topology = hybrid2_env(2)
-    plan = HolmesScheduler().plan(
-        topology, group.parallel_for(topology.world_size), group.model
-    )
-    return TrainingSimulation(plan, group.model, fault_plan=fault_plan).run()
+HEALTHY = Scenario.from_group("hybrid", 2, 1, framework="holmes-no-overlap")
 
 
 def main() -> None:
     print("=" * 72)
     print("1. Healthy iteration: the time-loss budget")
     print("=" * 72)
-    healthy = simulate()
+    healthy = simulate(HEALTHY)
     report = build_report(
         healthy, scenario={"env": "hybrid", "nodes": 2, "group": 1}
     )
@@ -61,12 +58,11 @@ def main() -> None:
     print("=" * 72)
     print("2. The same machine with a 3x straggler and a link brownout")
     print("=" * 72)
-    fault_plan = FaultPlan(events=(
+    faulted = simulate(dataclasses.replace(HEALTHY, fault_events=(
         FaultEvent(time=0.0, kind=FaultKind.STRAGGLER, rank=0, factor=3.0),
         FaultEvent(time=1.0, kind=FaultKind.LINK_DEGRADE, node=0,
                    factor=0.25, duration=5.0),
-    ))
-    faulted = simulate(fault_plan=fault_plan)
+    )))
     faulted_report = build_report(
         faulted, scenario={"env": "hybrid", "nodes": 2, "faulted": True}
     )
@@ -87,22 +83,23 @@ def main() -> None:
     print("=" * 72)
     print("3. Artifacts")
     print("=" * 72)
-    import json
-
-    with open("profile_report.json", "w") as fh:
+    out_dir = tempfile.mkdtemp(prefix="repro-profile-")
+    report_path = os.path.join(out_dir, "profile_report.json")
+    trace_path = os.path.join(out_dir, "profile_trace.json")
+    with open(report_path, "w") as fh:
         json.dump(faulted_report, fh, indent=2)
     counters = utilization_counter_events(
         nic_utilization(faulted.trace, faulted.makespan), prefix="nic"
     )
-    with open("profile_trace.json", "w") as fh:
+    with open(trace_path, "w") as fh:
         export_chrome_trace(
             faulted.trace, fh,
             rank_names=default_rank_names(faulted.plan),
             extra_events=counters,
         )
-    print("wrote profile_report.json (validated, schema "
+    print(f"wrote {report_path} (validated, schema "
           f"{faulted_report['schema']})")
-    print("wrote profile_trace.json — open in https://ui.perfetto.dev and "
+    print(f"wrote {trace_path} — open in https://ui.perfetto.dev and "
           "look for the fault markers and the NIC utilization dip")
 
 

@@ -72,6 +72,11 @@ FRAMEWORK_PRESETS: Dict[str, FrameworkSpec] = {
 
 _SCHEDULES = ("1f1b", "gpipe", "interleaved")
 
+#: Largest machine a scenario may name, in GPUs: 64x the largest
+#: benchmarked world.  A bound on what one request can make the engine
+#: build (the topology alone holds one device record per GPU).
+MAX_WORLD_SIZE = 65536
+
 
 def _as_float_token(value: float) -> str:
     """Exact, JSON-safe float encoding (``repr`` round-trips doubles;
@@ -213,6 +218,11 @@ class Scenario:
                 f"bandwidth_scale must be positive: {self.bandwidth_scale}"
             )
         world = self.nodes * self.gpus_per_node
+        if world > MAX_WORLD_SIZE:
+            raise ConfigurationError(
+                f"machine too large: {self.nodes}x{self.gpus_per_node} = "
+                f"{world} GPUs; at most {MAX_WORLD_SIZE}"
+            )
         if self.tensor < 1 or self.pipeline < 1:
             raise ConfigurationError(
                 f"parallel degrees must be >= 1: t{self.tensor} p{self.pipeline}"

@@ -177,6 +177,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     from repro.obs.ledger import now_iso, record_run
     from repro.plan import (
         build_plan_report,
+        planning_base,
         render_plan_report,
         validate_plan_report,
     )
@@ -190,7 +191,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 trace_enabled=False,
             )
         else:
-            base = api.Scenario(
+            base = planning_base(
+                args.batch,
                 env=args.env,
                 nodes=args.nodes,
                 gpus_per_node=args.gpus_per_node,
@@ -199,7 +201,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 num_attention_heads=args.heads,
                 seq_length=args.seq_length,
                 micro_batch_size=args.micro_batch,
-                global_batch_size=args.batch,
                 framework="holmes-base",
                 trace_enabled=False,
                 label=f"plan-base:{args.env}:{args.nodes}x{args.gpus_per_node}",
@@ -538,6 +539,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     relation held on every scenario."""
     import json
 
+    from dataclasses import replace
+
+    from repro.api import build
     from repro.validate import ValidationHooks, run_validation
     from repro.validate.metamorphic import RELATIONS
     from repro.validate.report import (
@@ -572,8 +576,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # the invariant tallies of this exact sweep (the relation runs arm their
     # own private hooks).
     sanitizer = ValidationHooks()
-    for spec in sample_scenarios(args.scenarios, args.seed):
-        spec.run(validation=sanitizer, fidelity=fidelity)
+    for scenario in sample_scenarios(args.scenarios, args.seed):
+        sim = build(replace(scenario, validate=True, fidelity=fidelity))
+        sim.run()
+        for total, counts in (
+            (sanitizer.checks, sim.validation.checks),
+            (sanitizer.violations, sim.validation.violations),
+        ):
+            for invariant, count in counts.items():
+                total[invariant] = total.get(invariant, 0) + count
 
     report = build_validation_report(
         results,

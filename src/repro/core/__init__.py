@@ -19,8 +19,6 @@ __all__ = [
     "MemoryEstimate",
     "estimate_memory",
     "fits_in_memory",
-    "PlanCandidate",
-    "plan_best",
     "CheckpointPolicy",
     "replan_after_failure",
     "surviving_topology",
@@ -59,7 +57,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.engine": ("TrainingSimulation", "IterationResult"),
     "repro.core.metrics": ("IterationMetrics", "compute_metrics"),
     "repro.core.memory_model": ("MemoryEstimate", "estimate_memory", "fits_in_memory"),
-    "repro.core.planner": ("PlanCandidate", "plan_best"),
     "repro.core.faults": ("CheckpointPolicy", "replan_after_failure", "surviving_topology"),
     "repro.core.longrun": (
         "CampaignResult",

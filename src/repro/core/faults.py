@@ -6,8 +6,8 @@ when they do not:
 
 - :func:`surviving_topology` removes failed nodes and rebuilds the machine
   (whole-node failures — the common blast radius when a NIC or PSU dies).
-- :func:`replan_after_failure` runs the auto-parallelism planner on the
-  surviving machine to find the best degraded configuration.
+- :func:`replan_after_failure` runs the auto-planner (:mod:`repro.plan`)
+  on the surviving machine to find the best degraded configuration.
 - :class:`CheckpointPolicy` prices periodic checkpointing: given a mean
   time between failures and per-checkpoint cost, the classic Young/Daly
   interval and the resulting goodput fraction, so the simulated TFLOPS can
@@ -19,13 +19,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.core.planner import PlanCandidate, plan_best
 from repro.errors import ConfigurationError, TopologyError
 from repro.hardware.cluster import Cluster
 from repro.hardware.topology import ClusterTopology
 from repro.model.config import GPTConfig
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.plan import PlanResult
 
 
 def surviving_topology(
@@ -65,11 +67,38 @@ def replan_after_failure(
     global_batch_size: int,
     micro_batch_size: int = 4,
     **kwargs: object,
-) -> List[PlanCandidate]:
-    """Best degraded configurations on the surviving machine."""
+) -> "PlanResult":
+    """Plan Holmes (``holmes-full``, 1F1B) on the surviving machine:
+    :func:`repro.api.plan` over the survivors as an inline machine.
+    Remaining keyword arguments pass through to it (``budget``,
+    ``top_k``, ``jobs``, ``cache``, ...).
+
+    The best Holmes layout is ``.discovered[0]``.  ``.best`` may instead
+    be one of the framework presets that the planner confirms as
+    baselines at the base layout."""
+    from repro import api
+    from repro.hardware.config_io import topology_to_dict
+    from repro.plan import planning_base
+
     survivors = surviving_topology(topology, failed_nodes)
-    return plan_best(
-        survivors, model, global_batch_size, micro_batch_size, **kwargs
+    base = planning_base(
+        global_batch_size,
+        env="custom",
+        machine=topology_to_dict(survivors),
+        nodes=survivors.num_nodes,
+        gpus_per_node=survivors.gpus_per_node,
+        num_layers=model.num_layers,
+        hidden_size=model.hidden_size,
+        num_attention_heads=model.num_attention_heads,
+        seq_length=model.seq_length,
+        vocab_size=model.vocab_size,
+        micro_batch_size=micro_batch_size,
+        framework="holmes-full",
+        trace_enabled=False,
+        label=f"replan:{survivors.num_nodes}x{survivors.gpus_per_node}",
+    )
+    return api.plan(
+        base, frameworks=("holmes-full",), schedules=("1f1b",), **kwargs
     )
 
 

@@ -237,8 +237,8 @@ def degraded_throughput_fractions(
 
     For each failure count ``k`` the planner (:func:`replan_after_failure`)
     is run on the machine with the *last* ``k`` nodes removed — a
-    representative blast radius — and the best surviving plan's throughput
-    is normalised against the healthy plan.  Feed the result into
+    representative blast radius — and the best surviving Holmes layout's
+    throughput (``.discovered[0]``) is normalised against the healthy plan.  Feed the result into
     :func:`simulate_elastic_campaign` via ``throughput_fractions`` to
     replace the linear default with planner-backed degradation.
     """
@@ -253,11 +253,10 @@ def degraded_throughput_fractions(
     baseline: Optional[float] = None
     for k in range(max_failures + 1):
         failed = list(range(topology.num_nodes - k, topology.num_nodes))
-        candidates = replan_after_failure(
+        throughput = replan_after_failure(
             topology, failed, model, global_batch_size, micro_batch_size,
             **kwargs,
-        )
-        throughput = candidates[0].throughput if candidates else 0.0
+        ).discovered[0].throughput
         if baseline is None:
             baseline = throughput
         fractions[k] = throughput / baseline if baseline > 0 else 0.0

@@ -49,7 +49,6 @@ class SingleTrainer:
     pipeline schedules split batches at all.
 
     The knob's spelling is ``num_microbatches`` (matching
-    :class:`repro.validate.scenarios.ScenarioSpec` and
     :class:`repro.api.Scenario`).
     """
 

@@ -24,6 +24,7 @@ __all__ = [
     "enumerate_layouts",
     "oracle_estimate",
     "plan_scenario",
+    "planning_base",
     "preset_scenarios",
     "render_plan_report",
     "validate_plan_report",
@@ -35,6 +36,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "SEARCH_SCHEDULES",
         "enumerate_candidates",
         "enumerate_layouts",
+        "planning_base",
         "preset_scenarios",
     ),
     "repro.plan.oracle": ("OracleEstimate", "oracle_estimate"),

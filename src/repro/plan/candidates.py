@@ -51,33 +51,58 @@ INTERLEAVED_CHUNKS = 2
 
 
 def enumerate_layouts(
-    base: Scenario, max_tensor: Optional[int] = None
+    gpus_per_node: int,
+    world_size: int,
+    num_layers: int,
+    global_batch_size: int,
+    micro_batch_size: int,
+    max_tensor: Optional[int] = None,
 ) -> List[Tuple[int, int, int]]:
-    """Every feasible ``(t, p, d)`` for the base's machine, model, and
-    workload, in deterministic ascending ``(t, p)`` order.
+    """Every feasible ``(t, p, d)`` for a machine, model, and workload
+    shape, in deterministic ascending ``(t, p)`` order.
 
-    Constraints (mirroring :func:`repro.core.planner.enumerate_configs`):
-    ``t`` divides ``gpus_per_node``; ``t * p`` divides the world size;
-    ``p`` does not exceed the transformer layer count; the global batch
-    splits over ``d`` replicas into whole microbatches.
+    Constraints: ``t`` divides ``gpus_per_node``; ``t * p`` divides the
+    world size; ``p`` does not exceed the transformer layer count; the
+    global batch splits over ``d`` replicas into whole microbatches.
     """
-    G = base.gpus_per_node
-    N = base.world_size
-    batch = base.global_batch_size
-    mbs = base.micro_batch_size
+    G = gpus_per_node
     max_t = min(max_tensor or G, G)
     layouts: List[Tuple[int, int, int]] = []
     for t in range(1, max_t + 1):
         if G % t != 0:
             continue
-        for p in range(1, base.num_layers + 1):
-            if N % (t * p) != 0:
+        for p in range(1, num_layers + 1):
+            if world_size % (t * p) != 0:
                 continue
-            d = N // (t * p)
-            if batch % (d * mbs) != 0:
+            d = world_size // (t * p)
+            if global_batch_size % (d * micro_batch_size) != 0:
                 continue
             layouts.append((t, p, d))
     return layouts
+
+
+def planning_base(global_batch_size: int, **fields: object) -> Scenario:
+    """The scenario a plan starts from: ``fields`` (machine, model, and
+    workload, no layout) at the first layout :func:`enumerate_layouts`
+    yields for ``global_batch_size`` -- ``(1, 1, world)`` whenever that
+    one is feasible.  Raises :class:`ConfigurationError` when no layout
+    splits the batch into whole microbatches."""
+    shape = Scenario(**fields)  # type: ignore[arg-type]
+    layouts = enumerate_layouts(
+        shape.gpus_per_node, shape.world_size, shape.num_layers,
+        global_batch_size, shape.micro_batch_size,
+    )
+    if not layouts:
+        raise ConfigurationError(
+            f"no (t, p, d) layout of {shape.world_size} GPUs splits global "
+            f"batch {global_batch_size} into whole microbatches of "
+            f"{shape.micro_batch_size}"
+        )
+    t, p, _ = layouts[0]
+    return dataclasses.replace(
+        shape, tensor=t, pipeline=p, data=0,
+        global_batch_size=global_batch_size,
+    )
 
 
 def _schedule_variants(
@@ -143,7 +168,11 @@ def enumerate_candidates(
 
     candidates: List[Scenario] = []
     seen_digests = set()
-    for t, p, d in enumerate_layouts(base, max_tensor=max_tensor):
+    layouts = enumerate_layouts(
+        base.gpus_per_node, base.world_size, base.num_layers,
+        base.global_batch_size, base.micro_batch_size, max_tensor=max_tensor,
+    )
+    for t, p, d in layouts:
         m = base.global_batch_size // (d * base.micro_batch_size)
         for schedule, chunks in _schedule_variants(
             p, m, base.num_layers, schedules

@@ -96,8 +96,9 @@ def validate_plan_report(report: Dict[str, object]) -> None:
     if tflops != sorted(tflops, reverse=True):
         raise ValueError("ranking is not sorted by TFLOPS descending")
     presets = report.get("presets")
-    if not isinstance(presets, list) or not presets:
-        raise ValueError("report.presets must be a non-empty list")
+    # empty when no framework preset fits in memory at the base layout
+    if not isinstance(presets, list):
+        raise ValueError("report.presets must be a list")
     best = report.get("best")
     if not isinstance(best, dict) or best.get("label") != ranking[0]["label"]:
         raise ValueError("report.best must mirror the top ranking entry")
@@ -149,7 +150,8 @@ def render_plan_report(report: Dict[str, object]) -> str:
          "comm", "dev"],
         rows,
     ))
-    lines.append("(* = framework preset baseline at the base layout)")
+    if any(entry["preset"] for entry in report["ranking"]):
+        lines.append("(* = framework preset baseline at the base layout)")
     lines.append("")
     preset_rows = [
         [
@@ -160,9 +162,12 @@ def render_plan_report(report: Dict[str, object]) -> str:
         ]
         for row in report["presets"]
     ]
-    lines.append(format_table(
-        ["preset", "TFLOPS", "discovered", "delta"], preset_rows
-    ))
+    if preset_rows:
+        lines.append(format_table(
+            ["preset", "TFLOPS", "discovered", "delta"], preset_rows
+        ))
+    else:
+        lines.append("no framework preset fits in memory at the base layout")
     gate = report["gate"]
     lines.append("")
     lines.append(
@@ -171,9 +176,10 @@ def render_plan_report(report: Dict[str, object]) -> str:
         f"(tolerance {gate['tolerance'] * 100:.1f}%) -> "
         + ("ok" if gate["within_tolerance"] else "EXCEEDED")
     )
-    lines.append(
-        "discovered layout "
-        + ("matches or beats" if gate["beats_presets"] else "LOSES TO")
-        + " every framework preset"
-    )
+    if preset_rows:
+        lines.append(
+            "discovered layout "
+            + ("matches or beats" if gate["beats_presets"] else "LOSES TO")
+            + " every framework preset"
+        )
     return "\n".join(lines)

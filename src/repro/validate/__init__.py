@@ -46,7 +46,6 @@ __all__ = [
     "build_validation_report",
     "render_validation_report",
     "validate_validation_report",
-    "ScenarioSpec",
     "sample_scenarios",
     "scaled_topology",
 ]
@@ -75,5 +74,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "render_validation_report",
         "validate_validation_report",
     ),
-    "repro.validate.scenarios": ("ScenarioSpec", "sample_scenarios", "scaled_topology"),
+    "repro.validate.scenarios": ("sample_scenarios", "scaled_topology"),
 })

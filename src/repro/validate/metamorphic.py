@@ -31,25 +31,30 @@ encodes a paper-level physical property the simulator must respect:
     span falls back to executed anyway), and the ``auto`` tier replays
     byte-identically under its own seed.
 
-Each relation is a pure function ``ScenarioSpec -> RelationResult`` so the
-registry can be driven both by pytest parametrization
+Each relation is a pure function ``Scenario -> RelationResult``: it derives
+each variant with :func:`dataclasses.replace`, runs it armed with the
+invariant sanitizer (``validate=True``) through :func:`repro.api.simulate`,
+and compares.  The registry can be driven both by pytest parametrization
 (``tests/validate/test_metamorphic.py``) and by the ``repro validate`` CLI
 (:func:`run_validation`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.collectives.executor import CollectiveExecutor
 from repro.collectives.p2p import ChannelRegistry
 from repro.errors import InvariantViolation, ReproError
 from repro.network.fabric import Fabric
 from repro.simcore.engine import SimEngine
-from repro.validate.hooks import ValidationHooks
 from repro.validate.replay import diff_runs
-from repro.validate.scenarios import ScenarioSpec, sample_scenarios
+from repro.validate.scenarios import sample_scenarios
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.api import Scenario
+    from repro.core.engine import IterationResult
 
 #: Relative slack for monotonicity comparisons.  The DES is not analytically
 #: monotone — changing one duration can reorder FIFO grants — but observed
@@ -93,11 +98,11 @@ class Relation:
 
     name: str
     description: str
-    check: Callable[[ScenarioSpec], RelationResult]
+    check: Callable[[Scenario], RelationResult]
 
 
 def _result(
-    name: str, spec: ScenarioSpec, passed: bool, **details: object
+    name: str, spec: Scenario, passed: bool, **details: object
 ) -> RelationResult:
     return RelationResult(
         relation=name, scenario=spec.describe(), passed=passed, details=dict(details)
@@ -109,11 +114,16 @@ def _result(
 # --------------------------------------------------------------------- #
 
 
-def _check_bandwidth(spec: ScenarioSpec) -> RelationResult:
-    base = spec.run(with_faults=False, validation=ValidationHooks())
-    fast = spec.run(
-        with_faults=False, bandwidth_scale=2.0, validation=ValidationHooks()
-    )
+def _run(spec: Scenario, **changes: object) -> IterationResult:
+    """Simulate ``spec`` (with ``changes`` applied), sanitizer armed."""
+    from repro.api import simulate
+
+    return simulate(replace(spec, validate=True, **changes))
+
+
+def _check_bandwidth(spec: Scenario) -> RelationResult:
+    base = _run(spec, fault_seed=None)
+    fast = _run(spec, fault_seed=None, bandwidth_scale=2.0)
     t0 = base.metrics.iteration_time
     t1 = fast.metrics.iteration_time
     return _result(
@@ -122,11 +132,9 @@ def _check_bandwidth(spec: ScenarioSpec) -> RelationResult:
     )
 
 
-def _check_straggler(spec: ScenarioSpec) -> RelationResult:
-    base = spec.run(with_faults=False, validation=ValidationHooks())
-    slow = spec.run(
-        with_faults=False, stragglers={0: 3.0}, validation=ValidationHooks()
-    )
+def _check_straggler(spec: Scenario) -> RelationResult:
+    base = _run(spec, fault_seed=None)
+    slow = _run(spec, fault_seed=None, stragglers={0: 3.0})
     t0 = base.makespan
     t1 = slow.makespan
     return _result(
@@ -135,12 +143,11 @@ def _check_straggler(spec: ScenarioSpec) -> RelationResult:
     )
 
 
-def _check_workload(spec: ScenarioSpec) -> RelationResult:
-    base = spec.run(with_faults=False, validation=ValidationHooks())
-    more = spec.run(
-        with_faults=False,
-        num_microbatches=spec.num_microbatches * 2,
-        validation=ValidationHooks(),
+def _check_workload(spec: Scenario) -> RelationResult:
+    base = _run(spec, fault_seed=None)
+    more = _run(
+        spec, fault_seed=None,
+        num_microbatches=spec.num_microbatches * 2, global_batch_size=0,
     )
     t0 = base.metrics.iteration_time
     t1 = more.metrics.iteration_time
@@ -150,8 +157,8 @@ def _check_workload(spec: ScenarioSpec) -> RelationResult:
     )
 
 
-def _check_seed_replay(spec: ScenarioSpec) -> RelationResult:
-    report = diff_runs(lambda: spec.run(validation=ValidationHooks()))
+def _check_seed_replay(spec: Scenario) -> RelationResult:
+    report = diff_runs(lambda: _run(spec))
     details: Dict[str, object] = {
         "trace_digest": report.first.trace[:16],
         "num_spans": report.first.num_spans,
@@ -162,17 +169,15 @@ def _check_seed_replay(spec: ScenarioSpec) -> RelationResult:
     return _result("seed_replay", spec, report.identical, **details)
 
 
-def _check_fidelity(spec: ScenarioSpec) -> RelationResult:
-    executed = spec.run(validation=ValidationHooks())
-    auto = spec.run(validation=ValidationHooks(), fidelity="auto")
+def _check_fidelity(spec: Scenario) -> RelationResult:
+    executed = _run(spec)
+    auto = _run(spec, fidelity="auto")
     t0 = executed.metrics.iteration_time
     t1 = auto.metrics.iteration_time
     faulted = spec.fault_seed is not None
     tol = FIDELITY_FAULTED_RTOL if faulted else FIDELITY_RTOL
     rel = abs(t1 - t0) / t0 if t0 > 0.0 else 0.0
-    replay = diff_runs(
-        lambda: spec.run(validation=ValidationHooks(), fidelity="auto")
-    )
+    replay = diff_runs(lambda: _run(spec, fidelity="auto"))
     details: Dict[str, object] = {
         "executed_time": t0,
         "auto_time": t1,
@@ -194,7 +199,7 @@ def _check_fidelity(spec: ScenarioSpec) -> RelationResult:
 
 
 def _executed_allreduce(
-    spec: ScenarioSpec, ranks: Sequence[int], nbytes: float
+    spec: Scenario, ranks: Sequence[int], nbytes: float
 ) -> tuple:
     """Run a standalone executed ring all-reduce over ``ranks`` on the
     spec's topology; returns (makespan, slowest-edge transport)."""
@@ -212,11 +217,11 @@ def _executed_allreduce(
     return makespan, fabric.group_transport(ranks)
 
 
-def _one_rank_per_node(spec: ScenarioSpec, offset: int = 0) -> List[int]:
+def _one_rank_per_node(spec: Scenario, offset: int = 0) -> List[int]:
     return [n * spec.gpus_per_node + offset for n in range(spec.nodes)]
 
 
-def _check_slowest_link_bound(spec: ScenarioSpec) -> RelationResult:
+def _check_slowest_link_bound(spec: Scenario) -> RelationResult:
     nbytes = 8 * 1024 * 1024
     ranks = _one_rank_per_node(spec)
     d = len(ranks)
@@ -228,7 +233,7 @@ def _check_slowest_link_bound(spec: ScenarioSpec) -> RelationResult:
     )
 
 
-def _check_rank_relabel(spec: ScenarioSpec) -> RelationResult:
+def _check_rank_relabel(spec: Scenario) -> RelationResult:
     nbytes = 8 * 1024 * 1024
     base, _ = _executed_allreduce(spec, _one_rank_per_node(spec, 0), nbytes)
     shifted, _ = _executed_allreduce(spec, _one_rank_per_node(spec, 1), nbytes)
@@ -289,7 +294,7 @@ RELATIONS: Dict[str, Relation] = {
 }
 
 
-def check_relation(name: str, spec: ScenarioSpec) -> RelationResult:
+def check_relation(name: str, spec: Scenario) -> RelationResult:
     """Run one relation on one scenario, folding library errors (including
     sanitizer :class:`InvariantViolation`) into a failed result."""
     relation = RELATIONS[name]
@@ -345,9 +350,7 @@ def run_validation(
         raise KeyError(f"unknown relations: {unknown}; have {sorted(RELATIONS)}")
     specs = sample_scenarios(num_scenarios, seed)
     if fidelity is not None:
-        import dataclasses
-
-        specs = [dataclasses.replace(spec, fidelity=fidelity) for spec in specs]
+        specs = [replace(spec, fidelity=fidelity) for spec in specs]
     pairs = [(name, spec) for spec in specs for name in names]
     if jobs == 1 and timeout is None and not progress:
         return [check_relation(name, spec) for name, spec in pairs]

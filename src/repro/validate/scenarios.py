@@ -1,8 +1,7 @@
 """Seeded random scenario sampling for the metamorphic harness.
 
-A :class:`ScenarioSpec` is a small, fully deterministic description of one
-simulated training configuration: environment, machine shape, model, and
-parallelism.  The sampler draws specs from a stdlib
+The sampler draws small :class:`repro.api.Scenario` values (environment,
+machine shape, model, and parallelism) from a stdlib
 :class:`random.Random` — no global state, no wall clock — so a (seed, index)
 pair always names the same scenario, which is what lets the ``repro
 validate`` CLI and the pytest parametrizations share failures by seed.
@@ -17,8 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.bench.scenarios import (
     ethernet_env,
@@ -26,14 +24,11 @@ from repro.bench.scenarios import (
     hybrid2_env,
     split_env,
 )
-from repro.faults.plan import FaultPlan
 from repro.hardware.nic import NICType
 from repro.hardware.topology import ClusterTopology
-from repro.model.config import GPTConfig
-from repro.parallel.degrees import ParallelConfig
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.engine import IterationResult, TrainingSimulation
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.api import Scenario
 
 #: environment name -> topology builder(nodes, gpus_per_node)
 ENV_BUILDERS: Dict[str, Callable[[int, int], ClusterTopology]] = {
@@ -44,9 +39,6 @@ ENV_BUILDERS: Dict[str, Callable[[int, int], ClusterTopology]] = {
     "split-ib": lambda n, g: split_env(n, NICType.INFINIBAND, gpus_per_node=g),
     "split-roce": lambda n, g: split_env(n, NICType.ROCE, gpus_per_node=g),
 }
-
-#: virtual-time horizon (seconds) fault events are sampled within
-FAULT_HORIZON = 0.5
 
 
 def scaled_topology(topo: ClusterTopology, factor: float) -> ClusterTopology:
@@ -79,168 +71,18 @@ def scaled_topology(topo: ClusterTopology, factor: float) -> ClusterTopology:
     return ClusterTopology(clusters, inter_cluster_rdma=topo.inter_cluster_rdma)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One deterministic simulated-training scenario."""
-
-    name: str
-    env: str
-    nodes: int
-    gpus_per_node: int
-    num_layers: int
-    hidden: int
-    heads: int
-    tensor: int
-    pipeline: int
-    data: int
-    micro_batch_size: int
-    num_microbatches: int
-    schedule: str = "1f1b"
-    num_chunks: int = 1
-    #: ``None`` for a fault-free scenario, else the ``FaultPlan.random`` seed
-    fault_seed: Optional[int] = None
-    fault_events: int = 3
-    #: fidelity tier ("executed" | "analytic" | "auto"); see
-    #: :class:`repro.network.contention.FidelityPolicy`
-    fidelity: str = "executed"
-
-    @property
-    def world_size(self) -> int:
-        return self.nodes * self.gpus_per_node
-
-    @property
-    def model(self) -> GPTConfig:
-        return GPTConfig(self.num_layers, self.hidden, self.heads)
-
-    @property
-    def parallel(self) -> ParallelConfig:
-        return ParallelConfig(
-            tensor=self.tensor,
-            pipeline=self.pipeline,
-            data=self.data,
-            micro_batch_size=self.micro_batch_size,
-            global_batch_size=self.data * self.micro_batch_size * self.num_microbatches,
-        )
-
-    def topology(self, bandwidth_scale: float = 1.0) -> ClusterTopology:
-        topo = ENV_BUILDERS[self.env](self.nodes, self.gpus_per_node)
-        if bandwidth_scale != 1.0:
-            topo = scaled_topology(topo, bandwidth_scale)
-        return topo
-
-    def fault_plan(self, topo: ClusterTopology) -> Optional[FaultPlan]:
-        if self.fault_seed is None:
-            return None
-        return FaultPlan.random(
-            topo, FAULT_HORIZON, seed=self.fault_seed, num_events=self.fault_events
-        )
-
-    def build(
-        self,
-        bandwidth_scale: float = 1.0,
-        validation: Optional[object] = None,
-        stragglers: Optional[Dict[int, float]] = None,
-        with_faults: bool = True,
-        num_microbatches: Optional[int] = None,
-        trace_enabled: bool = True,
-        fidelity: Optional[str] = None,
-    ) -> TrainingSimulation:
-        """Construct the simulation this spec describes.
-
-        ``bandwidth_scale`` scales every link (and the inter-cluster uplink
-        budget in the cost model) — the bandwidth-relation transform;
-        ``num_microbatches`` overrides the workload — the workload-relation
-        transform; ``with_faults=False`` strips the fault plan so monotonic
-        relations are not confounded by wall-clock-anchored fault windows.
-        """
-        from repro.core.engine import TrainingSimulation
-        from repro.core.scheduler import HolmesScheduler
-        from repro.network.costmodel import CostModelConfig
-
-        topo = self.topology(bandwidth_scale)
-        m = num_microbatches if num_microbatches is not None else self.num_microbatches
-        parallel = ParallelConfig(
-            tensor=self.tensor,
-            pipeline=self.pipeline,
-            data=self.data,
-            micro_batch_size=self.micro_batch_size,
-            global_batch_size=self.data * self.micro_batch_size * m,
-        )
-        plan = HolmesScheduler().plan(topo, parallel, self.model)
-        cost_config = None
-        if bandwidth_scale != 1.0:
-            base = CostModelConfig()
-            cost_config = dataclasses.replace(
-                base, inter_cluster_uplink=base.inter_cluster_uplink * bandwidth_scale
-            )
-        return TrainingSimulation(
-            plan,
-            self.model,
-            schedule=self.schedule,
-            num_chunks=self.num_chunks,
-            cost_config=cost_config,
-            stragglers=stragglers,
-            fault_plan=self.fault_plan(topo) if with_faults else None,
-            trace_enabled=trace_enabled,
-            validation=validation,
-            fidelity=fidelity if fidelity is not None else self.fidelity,
-        )
-
-    def run(self, **kwargs: object) -> IterationResult:
-        """Build and execute; keyword arguments as :meth:`build`."""
-        return self.build(**kwargs).run()  # type: ignore[arg-type]
-
-    def to_scenario(self):
-        """This spec as a :class:`repro.api.Scenario`.
-
-        :meth:`build` plans with the default scheduler (Holmes placement,
-        Eq. 2 partition) and the engine's default distributed optimizer —
-        exactly the ``holmes-no-overlap`` framework preset — so the bridge
-        is behaviour-preserving: ``spec.to_scenario()`` and ``spec.run()``
-        produce byte-identical replays.  This is what lets the metamorphic
-        harness ride the parallel executor and the result cache.
-        """
-        from repro.api import Scenario
-
-        return Scenario(
-            env=self.env,
-            nodes=self.nodes,
-            gpus_per_node=self.gpus_per_node,
-            num_layers=self.num_layers,
-            hidden_size=self.hidden,
-            num_attention_heads=self.heads,
-            tensor=self.tensor,
-            pipeline=self.pipeline,
-            data=self.data,
-            micro_batch_size=self.micro_batch_size,
-            num_microbatches=self.num_microbatches,
-            schedule=self.schedule,
-            num_chunks=self.num_chunks,
-            framework="holmes-no-overlap",
-            fault_seed=self.fault_seed,
-            fault_count=self.fault_events,
-            fault_horizon=FAULT_HORIZON,
-            fidelity=self.fidelity,
-            label=self.name,
-        )
-
-    def describe(self) -> str:
-        faults = f", faults(seed={self.fault_seed})" if self.fault_seed is not None else ""
-        return (
-            f"{self.name}: {self.env} {self.nodes}x{self.gpus_per_node}, "
-            f"t{self.tensor} p{self.pipeline} d{self.data} "
-            f"mb{self.micro_batch_size} m{self.num_microbatches} "
-            f"{self.schedule}x{self.num_chunks}, "
-            f"gpt({self.num_layers}L,{self.hidden}h,{self.heads}a){faults}"
-        )
-
-
 def _divisor_choices(world: int, options: List[int]) -> List[int]:
     return [o for o in options if world % o == 0]
 
 
-def sample_scenario(rng: random.Random, index: int) -> ScenarioSpec:
-    """Draw one valid scenario from ``rng`` (rejection-free by construction)."""
+def sample_scenario(rng: random.Random, index: int) -> "Scenario":
+    """Draw one valid scenario from ``rng`` (rejection-free by construction).
+
+    Scenarios run the ``holmes-no-overlap`` preset (Holmes placement, the
+    Eq. 2 partition, the plain distributed optimizer); seeded faults, when
+    drawn, are ``FaultPlan.random`` events within the default horizon."""
+    from repro.api import Scenario
+
     env = rng.choice(sorted(ENV_BUILDERS))
     # even node counts keep hybrid/split (two equal cluster halves) valid
     nodes = rng.choice([2, 4])
@@ -275,14 +117,13 @@ def sample_scenario(rng: random.Random, index: int) -> ScenarioSpec:
 
     fault_seed = rng.randrange(1 << 16) if rng.random() < 0.35 else None
 
-    return ScenarioSpec(
-        name=f"s{index:03d}",
+    return Scenario(
         env=env,
         nodes=nodes,
         gpus_per_node=gpn,
         num_layers=num_layers,
-        hidden=hidden,
-        heads=heads,
+        hidden_size=hidden,
+        num_attention_heads=heads,
         tensor=tensor,
         pipeline=pipeline,
         data=data,
@@ -290,11 +131,13 @@ def sample_scenario(rng: random.Random, index: int) -> ScenarioSpec:
         num_microbatches=num_microbatches,
         schedule=schedule,
         num_chunks=num_chunks,
+        framework="holmes-no-overlap",
         fault_seed=fault_seed,
+        label=f"s{index:03d}",
     )
 
 
-def sample_scenarios(n: int, seed: int = 0) -> List[ScenarioSpec]:
+def sample_scenarios(n: int, seed: int = 0) -> List["Scenario"]:
     """``n`` deterministic scenarios for ``seed`` (stdlib RNG only)."""
     rng = random.Random(seed)
     return [sample_scenario(rng, i) for i in range(n)]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import FRAMEWORK_PRESETS, Scenario
+from repro.api import FRAMEWORK_PRESETS, MAX_WORLD_SIZE, Scenario
 from repro.errors import ConfigurationError
 from repro.exec.digest import canonical_json, scenario_digest
 from repro.faults import FaultEvent, FaultKind
@@ -172,8 +172,19 @@ def test_inline_machine_validation_builds_no_nodes(monkeypatch):
         raise AssertionError("validation built a node")
 
     monkeypatch.setattr(config_io, "Node", refuse)
+    nodes = MAX_WORLD_SIZE // 2
+    big = {"gpus_per_node": 2, "clusters": [{"nodes": nodes, "nic": "roce"}]}
+    assert tiny(env="big", nodes=nodes, machine=big).world_size == MAX_WORLD_SIZE
     huge = {"gpus_per_node": 2, "clusters": [{"nodes": 10 ** 9, "nic": "roce"}]}
-    s = tiny(env="huge", nodes=10 ** 9, machine=huge)
-    assert s.world_size == 2 * 10 ** 9
+    with pytest.raises(ConfigurationError, match="too large"):
+        tiny(env="huge", nodes=10 ** 9, machine=huge)
     with pytest.raises(ConfigurationError):
         tiny(env="huge", machine=huge)
+
+
+def test_machine_size_is_bounded():
+    # tiny() has two GPUs per node
+    assert tiny(nodes=MAX_WORLD_SIZE // 2).world_size == MAX_WORLD_SIZE
+    for nodes in (MAX_WORLD_SIZE // 2 + 1, 10 ** 9):
+        with pytest.raises(ConfigurationError, match="too large"):
+            tiny(nodes=nodes)

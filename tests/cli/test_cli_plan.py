@@ -90,3 +90,33 @@ def test_plan_rejects_unbuildable_scenario(tmp_path):
     # hybrid needs two equal cluster halves; 3 nodes cannot split
     assert proc.returncode != 0
     assert proc.stderr.strip()
+
+
+def test_plan_starts_from_the_first_feasible_layout(tmp_path):
+    # (t=1, p=1, d=24) cannot split a batch of 64: the base starts at the
+    # first layout that can, (1, 3, 8), instead of refusing the machine
+    proc = run_cli(
+        "plan", "--env", "ib", "--nodes", "3", "--layers", "8",
+        "--hidden", "1024", "--heads", "8", "--batch", "64",
+        "--micro-batch", "1",
+        cwd=str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ib 3x8 [holmes-base], t1 p3 d8" in proc.stdout
+
+
+def test_plan_reports_when_no_preset_fits(tmp_path):
+    # at (1, 1, 32) this model needs ~177% of GPU memory, so every
+    # framework preset is dropped and the report has no preset rows
+    out = tmp_path / "plan.json"
+    proc = run_cli(
+        "plan", "--env", "ib", "--nodes", "4", "--layers", "44",
+        "--hidden", "6144", "--heads", "48", "--batch", "256",
+        "--micro-batch", "1", "--out", str(out),
+        cwd=str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "no framework preset fits in memory" in proc.stdout
+    report = json.loads(out.read_text())
+    assert report["presets"] == []
+    assert not any(entry["preset"] for entry in report["ranking"])

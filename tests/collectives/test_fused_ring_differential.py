@@ -32,9 +32,8 @@ from repro.simcore.engine import SimEngine
 from repro.simcore.process import Timeout
 from repro.simcore.trace import TraceRecorder
 from repro.units import MB
-from repro.validate.hooks import ValidationHooks
 from repro.validate.replay import metrics_digest, span_token
-from repro.validate.scenarios import ENV_BUILDERS, ScenarioSpec
+from repro.validate.scenarios import ENV_BUILDERS
 
 from tests.collectives.stepwise_reference import StepwiseExecutor, stepwise_engine
 
@@ -317,10 +316,11 @@ def test_hierarchical_allreduce_g_above_one(nodes, gpn):
 def test_tampered_intra_node_step_is_caught(monkeypatch):
     """Intra-node hops are no longer events, yet a corrupted intra-node
     step price is still audited where the pass prices the edge."""
-    spec = ScenarioSpec(
-        name="tiny", env="hybrid", nodes=2, gpus_per_node=4, num_layers=4,
-        hidden=256, heads=4, tensor=1, pipeline=2, data=4,
-        micro_batch_size=1, num_microbatches=4,
+    scenario = Scenario(
+        env="hybrid", nodes=2, gpus_per_node=4, num_layers=4,
+        hidden_size=256, num_attention_heads=4, tensor=1, pipeline=2,
+        data=4, micro_batch_size=1, num_microbatches=4,
+        framework="holmes-no-overlap", validate=True, label="tiny",
     )
     original = CollectiveCostModel.collective_step_time
 
@@ -330,6 +330,6 @@ def test_tampered_intra_node_step_is_caught(monkeypatch):
 
     monkeypatch.setattr(CollectiveCostModel, "collective_step_time", corrupted)
     with pytest.raises(InvariantViolation) as exc_info:
-        spec.run(validation=ValidationHooks())
+        simulate(scenario)
     assert exc_info.value.invariant == "causality.duration_sane"
     assert exc_info.value.context["what"] == "collective_step_time"

@@ -58,21 +58,21 @@ class TestSurvivingTopology:
 
 class TestReplan:
     def test_degraded_plan_found(self, topo):
-        candidates = replan_after_failure(
+        best = replan_after_failure(
             topo, [3], SMALL, global_batch_size=48, micro_batch_size=2
-        )
-        assert candidates
-        assert candidates[0].parallel.world_size == 12
+        ).discovered[0]
+        assert best.tensor * best.pipeline * best.data == 12
+        assert best.framework == "holmes-full"
 
     def test_degraded_throughput_lower(self, topo):
-        from repro.core.planner import plan_best
-
         # Batch large enough that compute dominates the fixed per-iteration
         # overhead, so losing a quarter of the GPUs must show up.
-        healthy = plan_best(topo, SMALL, 192, micro_batch_size=2, top_k=1)[0]
+        healthy = replan_after_failure(
+            topo, [], SMALL, global_batch_size=192, micro_batch_size=2
+        ).discovered[0]
         degraded = replan_after_failure(
             topo, [0], SMALL, global_batch_size=192, micro_batch_size=2
-        )[0]
+        ).discovered[0]
         assert degraded.throughput < healthy.throughput
 
 

@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import Scenario, simulate
 from repro.collectives.executor import CollectiveExecutor
 from repro.collectives.p2p import ChannelRegistry
 from repro.errors import ConfigurationError, FidelityError
@@ -23,24 +24,25 @@ from repro.network.fabric import Fabric
 from repro.simcore.engine import SimEngine
 from repro.units import MB
 from repro.validate.metamorphic import FIDELITY_RTOL
-from repro.validate.scenarios import ScenarioSpec, sample_scenarios
+from repro.validate.scenarios import sample_scenarios
 
 FAMILIES = [NICType.INFINIBAND, NICType.ROCE, NICType.ETHERNET]
 
 #: a contention-free scenario: pure data parallelism, no p2p, no faults
-FLAT_SPEC = ScenarioSpec(
-    name="flat",
+FLAT = Scenario(
     env="ib",
     nodes=4,
     gpus_per_node=1,
     num_layers=4,
-    hidden=256,
-    heads=4,
+    hidden_size=256,
+    num_attention_heads=4,
     tensor=1,
     pipeline=1,
     data=4,
     micro_batch_size=1,
     num_microbatches=2,
+    framework="holmes-no-overlap",
+    label="flat",
 )
 
 
@@ -134,42 +136,40 @@ class TestEndToEnd:
     pytestmark = pytest.mark.property
 
     def test_auto_matches_executed_within_tolerance(self):
-        executed = FLAT_SPEC.run()
-        auto = FLAT_SPEC.run(fidelity="auto")
+        executed = simulate(FLAT)
+        auto = simulate(dataclasses.replace(FLAT, fidelity="auto"))
         rel = abs(auto.iteration_time - executed.iteration_time) / (
             executed.iteration_time
         )
         assert rel <= FIDELITY_RTOL
 
     def test_analytic_refuses_faulted_scenario(self):
-        spec = next(
+        scenario = next(
             s for s in sample_scenarios(20, seed=0) if s.fault_seed is not None
         )
         with pytest.raises(FidelityError) as exc:
-            spec.run(fidelity="analytic")
+            simulate(dataclasses.replace(scenario, fidelity="analytic"))
         assert "fault" in str(exc.value)
 
 
 class TestScenarioFidelityContract:
     def test_fidelity_is_part_of_the_digest(self):
-        base = FLAT_SPEC.to_scenario()
+        base = FLAT
         auto = dataclasses.replace(base, fidelity="auto")
         assert base.digest() != auto.digest()
         assert base.canonical()["fidelity"] == "executed"
         assert auto.canonical()["fidelity"] == "auto"
 
     def test_canonical_round_trip_and_legacy_default(self):
-        from repro.api import Scenario
-
-        auto = dataclasses.replace(FLAT_SPEC.to_scenario(), fidelity="auto")
+        auto = dataclasses.replace(FLAT, fidelity="auto")
         assert Scenario.from_canonical(auto.canonical()) == auto
-        legacy = dict(FLAT_SPEC.to_scenario().canonical())
+        legacy = dict(FLAT.canonical())
         legacy.pop("fidelity")
         assert Scenario.from_canonical(legacy).fidelity == "executed"
 
     def test_invalid_fidelity_rejected(self):
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(FLAT_SPEC.to_scenario(), fidelity="bogus")
+            dataclasses.replace(FLAT, fidelity="bogus")
 
     def test_modes_constant_exported(self):
         import repro.api as api

@@ -30,17 +30,23 @@ def sampled_bases(n=8, seed=3):
     """Small bases drawn through the metamorphic sampler (fault-free:
     the planner plans the healthy machine)."""
     bases = []
-    for spec in sample_scenarios(n, seed=seed):
-        scenario = spec.to_scenario()
+    for scenario in sample_scenarios(n, seed=seed):
         bases.append(dataclasses.replace(
             scenario, fault_seed=None, trace_enabled=False,
         ))
     return bases
 
 
+def layouts_of(base):
+    return enumerate_layouts(
+        base.gpus_per_node, base.world_size, base.num_layers,
+        base.global_batch_size, base.micro_batch_size,
+    )
+
+
 def test_every_layout_divides_world_size():
     base = tiny_base()
-    layouts = enumerate_layouts(base)
+    layouts = layouts_of(base)
     assert layouts
     for t, p, d in layouts:
         assert t * p * d == base.world_size
@@ -51,7 +57,7 @@ def test_every_layout_divides_world_size():
 @pytest.mark.property
 def test_layout_divisibility_over_sampled_bases():
     for base in sampled_bases():
-        for t, p, d in enumerate_layouts(base):
+        for t, p, d in layouts_of(base):
             assert t * p * d == base.world_size, base.label
             assert base.gpus_per_node % t == 0
             assert base.global_batch_size % (d * base.micro_batch_size) == 0

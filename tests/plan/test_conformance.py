@@ -22,18 +22,15 @@ from repro.validate.scenarios import sample_scenarios
 #: ranking covers the same candidates the search tier ranked.
 BUDGET = 6
 
-SPECS = [
-    spec for spec in sample_scenarios(14, seed=7)
-]
+SPECS = sample_scenarios(14, seed=7)
 
 
 def planner_base(spec):
-    scenario = spec.to_scenario()
-    return dataclasses.replace(scenario, fault_seed=None, trace_enabled=False)
+    return dataclasses.replace(spec, fault_seed=None, trace_enabled=False)
 
 
 @pytest.mark.property
-@pytest.mark.parametrize("spec", SPECS, ids=[s.name for s in SPECS])
+@pytest.mark.parametrize("spec", SPECS, ids=[s.label for s in SPECS])
 def test_search_and_confirm_tiers_agree_on_top1(spec):
     base = planner_base(spec)
     result = plan_scenario(

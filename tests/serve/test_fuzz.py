@@ -274,6 +274,20 @@ def test_hostile_requests_get_a_4xx_and_the_daemon_serves_on(address):
     assert json.loads(raw.partition(b"\r\n\r\n")[2])["ok"] is True
 
 
+def test_a_machine_past_the_size_ceiling_gets_a_400(address):
+    # a billion-node machine is refused before anything is built or queued
+    scenario = base_scenario()
+    scenario["nodes"] = 10 ** 9
+    body = json.dumps(build_request("run", [scenario])).encode()
+    head = (f"POST /v1/run HTTP/1.1\r\nHost: fuzz\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n")
+    raw = exchange(address, head.encode() + body)
+    head, _, answer = raw.partition(b"\r\n\r\n")
+    assert int(head.split(b" ", 2)[1]) == 400
+    assert "too large" in json.loads(answer)["error"]["message"]
+
+
 def test_schema_valid_requests_are_not_fuzz_cases():
     # the local filter must recognise a valid request, or the fuzz would
     # silently send only what it meant to skip

@@ -39,7 +39,6 @@ def test_importing_the_cli_loads_no_command():
         "repro.obs.report",
         "repro.obs.timeline",
         "repro.core.longrun",
-        "repro.core.planner",
         "repro.exec.microbench",
         "repro.plan",
         "repro.serve",
@@ -59,7 +58,6 @@ def test_cli_simulate_runs_without_numpy():
         "repro.hardware.config_io",  # only inline machines need the codec
         "repro.obs.flight",
         "repro.obs.ledger",
-        "repro.core.planner",
         "repro.exec.microbench",
     }
     assert not forbidden & loaded, sorted(forbidden & loaded)

@@ -9,6 +9,7 @@ broken invariant and the offending event — that is the safety net the
 
 import pytest
 
+from repro.api import simulate
 from repro.collectives.executor import CollectiveExecutor
 from repro.errors import InvariantViolation
 from repro.network.costmodel import CollectiveCostModel
@@ -17,12 +18,12 @@ from repro.simcore.resource import Resource
 from repro.simcore.trace import TraceRecorder
 from repro.validate import ValidationHooks
 from repro.validate.replay import trace_digest
+from tests.validate.conftest import run_checked
 
 
 class TestCleanRunPasses:
-    def test_no_violations_and_counters_published(self, tiny_spec):
-        hooks = ValidationHooks()
-        result = tiny_spec.run(validation=hooks)
+    def test_no_violations_and_counters_published(self, tiny_scenario):
+        result, hooks = run_checked(tiny_scenario)
         assert hooks.total_violations == 0
         assert hooks.total_checks > 1000
         # byte conservation actually ran (the scenario has DP sync)
@@ -34,21 +35,20 @@ class TestCleanRunPasses:
         total = sum(snapshot["validation_checks_total"]["series"].values())
         assert total == hooks.total_checks
 
-    def test_faulted_run_passes(self, faulted_spec):
-        hooks = ValidationHooks()
-        faulted_spec.run(validation=hooks)
+    def test_faulted_run_passes(self, faulted_scenario):
+        _, hooks = run_checked(faulted_scenario)
         assert hooks.total_violations == 0
         assert hooks.finalized
 
-    def test_virtual_time_identical_with_and_without_hooks(self, tiny_spec):
-        plain = tiny_spec.run()
-        checked = tiny_spec.run(validation=ValidationHooks())
+    def test_virtual_time_identical_with_and_without_hooks(self, tiny_scenario):
+        plain = simulate(tiny_scenario)
+        checked, _ = run_checked(tiny_scenario)
         assert checked.makespan == plain.makespan
         assert trace_digest(checked.trace) == trace_digest(plain.trace)
 
 
 class TestCorruptedCostModel:
-    def test_negative_step_occupancy_is_caught(self, tiny_spec, monkeypatch):
+    def test_negative_step_occupancy_is_caught(self, tiny_scenario, monkeypatch):
         """Acceptance criterion: a corrupted cost model raises a structured
         InvariantViolation at the event that consumed the bad price."""
         original = CollectiveCostModel.collective_step_occupancy
@@ -60,7 +60,7 @@ class TestCorruptedCostModel:
             CollectiveCostModel, "collective_step_occupancy", corrupted
         )
         with pytest.raises(InvariantViolation) as exc_info:
-            tiny_spec.run(validation=ValidationHooks())
+            run_checked(tiny_scenario)
         violation = exc_info.value
         assert violation.invariant == "causality.duration_sane"
         assert violation.context["seconds"] < 0
@@ -70,7 +70,7 @@ class TestCorruptedCostModel:
         )
         assert "src" in violation.context and "dst" in violation.context
 
-    def test_corruption_unnoticed_without_hooks(self, tiny_spec, monkeypatch):
+    def test_corruption_unnoticed_without_hooks(self, tiny_scenario, monkeypatch):
         """Sanity: without the sanitizer the same corruption slips through
         (the engine itself rejects only *scheduling* into the past)."""
         monkeypatch.setattr(
@@ -78,22 +78,22 @@ class TestCorruptedCostModel:
             "collective_step_occupancy",
             lambda self, nbytes, edge, messages=1: 0.0,
         )
-        tiny_spec.run()  # must not raise
+        simulate(tiny_scenario)  # must not raise
 
-    def test_nonfinite_p2p_occupancy_is_caught(self, tiny_spec, monkeypatch):
+    def test_nonfinite_p2p_occupancy_is_caught(self, tiny_scenario, monkeypatch):
         monkeypatch.setattr(
             CollectiveCostModel,
             "p2p_nic_occupancy",
             lambda self, *args, **kwargs: float("nan"),
         )
         with pytest.raises(InvariantViolation) as exc_info:
-            tiny_spec.run(validation=ValidationHooks())
+            run_checked(tiny_scenario)
         assert exc_info.value.invariant == "causality.duration_sane"
         assert exc_info.value.context["what"] == "p2p_occupancy"
 
 
 class TestByteConservation:
-    def test_tampered_executor_chunks_are_caught(self, tiny_spec, monkeypatch):
+    def test_tampered_executor_chunks_are_caught(self, tiny_scenario, monkeypatch):
         """An executor that sends half-sized ring chunks breaks the
         telescoped closed form and must be flagged per member."""
         original = CollectiveExecutor._ring_phase
@@ -103,7 +103,7 @@ class TestByteConservation:
 
         monkeypatch.setattr(CollectiveExecutor, "_ring_phase", tampered)
         with pytest.raises(InvariantViolation) as exc_info:
-            tiny_spec.run(validation=ValidationHooks())
+            run_checked(tiny_scenario)
         violation = exc_info.value
         assert violation.invariant == "collective.byte_conservation"
         assert violation.context["sent"] < violation.context["expected"]

@@ -9,7 +9,9 @@ well under 5% of a simulated iteration.
 
 import time
 
+from repro.api import simulate
 from repro.validate import ValidationHooks
+from tests.validate.conftest import run_checked
 
 
 def _min_wall(fn, rounds=3):
@@ -23,7 +25,7 @@ def _min_wall(fn, rounds=3):
 
 class TestDisabledHooksAreNoop:
     def test_default_run_never_touches_the_sanitizer(
-        self, tiny_spec, monkeypatch
+        self, tiny_scenario, monkeypatch
     ):
         calls = [0]
         for name in (
@@ -45,22 +47,22 @@ class TestDisabledHooksAreNoop:
 
             monkeypatch.setattr(ValidationHooks, name, counting)
 
-        tiny_spec.run()  # validation=None is the default
+        simulate(tiny_scenario)  # validate=False is the default
         assert calls[0] == 0, "a hook fired without any ValidationHooks"
 
-        tiny_spec.run(validation=ValidationHooks())
+        run_checked(tiny_scenario)
         assert calls[0] > 500, "sanity: armed hooks do fire"
 
-    def test_virtual_time_unaffected_by_hooks(self, tiny_spec):
-        plain = tiny_spec.run()
-        checked = tiny_spec.run(validation=ValidationHooks())
+    def test_virtual_time_unaffected_by_hooks(self, tiny_scenario):
+        plain = simulate(tiny_scenario)
+        checked, _ = run_checked(tiny_scenario)
         assert checked.makespan == plain.makespan
         assert checked.metrics == plain.metrics
 
 
 class TestHooksOverheadBudget:
     def test_disabled_guard_overhead_under_5_percent(
-        self, tiny_spec, monkeypatch
+        self, tiny_scenario, monkeypatch
     ):
         """The per-iteration cost of the ``hooks is None`` guards is <5%.
 
@@ -70,12 +72,11 @@ class TestHooksOverheadBudget:
         time of an unarmed iteration. Min-of-N keeps it stable on noisy
         CI machines.
         """
-        armed = ValidationHooks()
-        tiny_spec.run(validation=armed)
+        _, armed = run_checked(tiny_scenario)
         num_guards = armed.total_checks
         assert num_guards > 1000, "expected a busy sanitized iteration"
 
-        iteration_wall = _min_wall(lambda: tiny_spec.run())
+        iteration_wall = _min_wall(lambda: simulate(tiny_scenario))
 
         hooks = None
 

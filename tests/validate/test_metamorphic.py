@@ -23,7 +23,7 @@ pytestmark = pytest.mark.property
 
 
 @pytest.mark.parametrize("relation", sorted(RELATIONS))
-@pytest.mark.parametrize("spec", SMOKE_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", SMOKE_SPECS, ids=lambda s: s.label)
 def test_relation_holds(relation, spec):
     result = check_relation(relation, spec)
     assert result.passed, (result.error, result.details)

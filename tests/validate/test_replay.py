@@ -7,6 +7,7 @@ fault-free scenario must rerun byte-identically in CI, and a run under a
 
 import dataclasses
 
+from repro.api import simulate
 from repro.simcore.trace import TraceRecorder
 from repro.validate.replay import (
     compare_traces,
@@ -61,51 +62,51 @@ class TestDigests:
 
 
 class TestSeedDeterminism:
-    def test_fault_free_replay_is_byte_identical(self, tiny_spec):
-        report = diff_runs(tiny_spec.run)
+    def test_fault_free_replay_is_byte_identical(self, tiny_scenario):
+        report = diff_runs(lambda: simulate(tiny_scenario))
         assert report.identical, report.describe()
         assert report.first == report.second
         assert report.divergence_index is None
 
-    def test_faulted_replay_is_byte_identical(self, faulted_spec):
+    def test_faulted_replay_is_byte_identical(self, faulted_scenario):
         """Same FaultPlan.random seed twice -> identical trace digests and
         IterationMetrics."""
-        report = diff_runs(faulted_spec.run)
+        report = diff_runs(lambda: simulate(faulted_scenario))
         assert report.identical, report.describe()
         assert report.first.trace == report.second.trace
         assert report.first.metrics == report.second.metrics
 
-    def test_metrics_are_reproducible_field_by_field(self, faulted_spec):
-        a = faulted_spec.run()
-        b = faulted_spec.run()
+    def test_metrics_are_reproducible_field_by_field(self, faulted_scenario):
+        a = simulate(faulted_scenario)
+        b = simulate(faulted_scenario)
         assert a.metrics == b.metrics
         assert metrics_digest(a.metrics) == metrics_digest(b.metrics)
 
-    def test_different_fault_seed_diverges(self, faulted_spec):
+    def test_different_fault_seed_diverges(self, faulted_scenario):
         """A third run under a different seed must not fingerprint-match."""
-        other = dataclasses.replace(faulted_spec, fault_seed=12)
-        fp_a = fingerprint(faulted_spec.run())
-        fp_b = fingerprint(other.run())
+        other = dataclasses.replace(faulted_scenario, fault_seed=12)
+        fp_a = fingerprint(simulate(faulted_scenario))
+        fp_b = fingerprint(simulate(other))
         assert fp_a.trace != fp_b.trace
 
     def test_diff_runs_reports_divergence_of_unequal_scenarios(
-        self, faulted_spec
+        self, faulted_scenario
     ):
         """Alternate between two seeds inside the factory: the differ must
         localise the first divergent span rather than just say 'differs'."""
-        other = dataclasses.replace(faulted_spec, fault_seed=12)
-        sequence = [faulted_spec, other]
+        other = dataclasses.replace(faulted_scenario, fault_seed=12)
+        sequence = [faulted_scenario, other]
 
         def alternating():
-            return sequence.pop(0).run()
+            return simulate(sequence.pop(0))
 
         report = diff_runs(alternating)
         assert not report.identical
         assert report.divergence_index is not None
         assert "diverged" in report.describe()
 
-    def test_fingerprint_carries_span_count_and_makespan(self, tiny_spec):
-        result = tiny_spec.run()
+    def test_fingerprint_carries_span_count_and_makespan(self, tiny_scenario):
+        result = simulate(tiny_scenario)
         fp = fingerprint(result)
         assert fp.num_spans == len(result.trace.spans)
         assert fp.makespan == result.makespan

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import build, simulate
 from repro.errors import ReproError
 from repro.validate.scenarios import (
     ENV_BUILDERS,
@@ -20,53 +21,53 @@ class TestSampler:
         assert sample_scenarios(10, seed=3) != sample_scenarios(10, seed=4)
 
     def test_names_are_unique(self):
-        specs = sample_scenarios(20, seed=0)
-        assert len({s.name for s in specs}) == len(specs)
+        scenarios = sample_scenarios(20, seed=0)
+        assert len({s.label for s in scenarios}) == len(scenarios)
 
     def test_specs_are_internally_consistent(self):
-        for spec in sample_scenarios(30, seed=5):
-            assert spec.world_size == spec.nodes * spec.gpus_per_node
-            assert spec.world_size % (spec.tensor * spec.pipeline) == 0
-            assert spec.env in ENV_BUILDERS
-            if spec.schedule == "interleaved":
-                assert spec.pipeline >= 2
-                assert spec.num_chunks >= 2
-                assert spec.num_microbatches % spec.pipeline == 0
-            # every sampled spec must survive plan construction
-            spec.build(with_faults=False)
+        for scenario in sample_scenarios(30, seed=5):
+            assert scenario.world_size % (scenario.tensor * scenario.pipeline) == 0
+            assert scenario.env in ENV_BUILDERS
+            assert scenario.framework == "holmes-no-overlap"
+            if scenario.schedule == "interleaved":
+                assert scenario.pipeline >= 2
+                assert scenario.num_chunks >= 2
+                assert scenario.num_microbatches % scenario.pipeline == 0
+            # every sampled scenario must survive plan construction
+            build(dataclasses.replace(scenario, fault_seed=None))
 
     def test_sampled_specs_actually_run(self):
-        for spec in sample_scenarios(3, seed=9):
-            result = spec.run()
-            assert result.makespan > 0
+        for scenario in sample_scenarios(3, seed=9):
+            assert simulate(scenario).makespan > 0
 
 
 class TestScenarioSpec:
-    def test_model_and_parallel_derivation(self, tiny_spec):
-        model = tiny_spec.model
-        assert model.num_layers == tiny_spec.num_layers
-        assert model.hidden_size == tiny_spec.hidden
-        par = tiny_spec.parallel
-        assert par.tensor == tiny_spec.tensor
+    """The tiny fixture scenario the conformance tests share."""
+
+    def test_model_and_parallel_derivation(self, tiny_scenario):
+        model = tiny_scenario.model
+        assert model.num_layers == tiny_scenario.num_layers
+        assert model.hidden_size == tiny_scenario.hidden_size
+        par = tiny_scenario.parallel
+        assert par.tensor == tiny_scenario.tensor
         assert par.global_batch_size == (
-            tiny_spec.data
-            * tiny_spec.micro_batch_size
-            * tiny_spec.num_microbatches
+            tiny_scenario.data
+            * tiny_scenario.micro_batch_size
+            * tiny_scenario.num_microbatches
         )
 
-    def test_fault_plan_requires_seed(self, tiny_spec, faulted_spec):
-        topo = tiny_spec.topology()
-        assert tiny_spec.fault_plan(topo) is None
-        plan = faulted_spec.fault_plan(topo)
+    def test_fault_plan_requires_seed(self, tiny_scenario, faulted_scenario):
+        topo = tiny_scenario.topology()
+        assert tiny_scenario.fault_plan(topo) is None
+        plan = faulted_scenario.fault_plan(topo)
         assert plan is not None and plan.events
 
-    def test_invalid_parallelism_raises(self, tiny_spec):
-        bad = dataclasses.replace(tiny_spec, tensor=16)
+    def test_invalid_parallelism_raises(self, tiny_scenario):
         with pytest.raises(ReproError):
-            bad.build()
+            dataclasses.replace(tiny_scenario, tensor=16)
 
-    def test_describe_mentions_layout(self, tiny_spec):
-        text = tiny_spec.describe()
+    def test_describe_mentions_layout(self, tiny_scenario):
+        text = tiny_scenario.describe()
         assert "t2" in text and "p2" in text and "d2" in text
 
 
@@ -75,8 +76,8 @@ def _all_nodes(topo):
 
 
 class TestScaledTopology:
-    def test_scaling_multiplies_all_link_bandwidths(self, tiny_spec):
-        base = tiny_spec.topology()
+    def test_scaling_multiplies_all_link_bandwidths(self, tiny_scenario):
+        base = tiny_scenario.topology()
         doubled = scaled_topology(base, 2.0)
         for node, scaled_node in zip(_all_nodes(base), _all_nodes(doubled)):
             assert (
@@ -94,8 +95,8 @@ class TestScaledTopology:
                     == 2.0 * node.rdma_nic.bandwidth
                 )
 
-    def test_identity_scale_preserves_topology(self, tiny_spec):
-        base = tiny_spec.topology()
+    def test_identity_scale_preserves_topology(self, tiny_scenario):
+        base = tiny_scenario.topology()
         same = scaled_topology(base, 1.0)
         assert same.world_size == base.world_size
         for node, copy in zip(_all_nodes(base), _all_nodes(same)):
